@@ -22,7 +22,7 @@
    A second mode, --parallel, skips bechamel entirely and runs the
    domain-parallel scalability sweep (Harness.Scalability): one shared DSU
    under 1..N domains, across find policies, memory layouts (flat /
-   cache-line-padded / boxed), parent-load memory orders, link-CAS backoff
+   cache-line-padded / packed), parent-load memory orders, link-CAS backoff
    on/off, and key distributions (uniform / skewed).  --out then writes
    the dsu-scalability/v2 JSON document; see docs/PERFORMANCE.md.
 
@@ -77,16 +77,8 @@ let bench_native_policy policy =
          let d = Dsu.Native.create ~policy ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
 
-(* Memory-layout A/B twins: the identical workload over the boxed
-   (pre-flat) parent array, and over the cache-line-padded flat array. *)
-let bench_boxed_policy policy =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make
-    ~name:(Printf.sprintf "native/boxed-%s" (Policy.to_string policy))
-    (Staged.stage (fun () ->
-         let d = Dsu.Boxed.create ~policy ~seed:7 n_medium in
-         Workload.Op.run_boxed_array d ops))
-
+(* Memory-layout A/B twin: the identical workload over the cache-line-padded
+   flat array. *)
 let bench_native_padded =
   let ops = mixed_ops_arr n_medium n_medium 3 in
   Test.make ~name:"native/padded-two-try"
@@ -286,8 +278,8 @@ let bench_growable_unbounded =
            Dsu.Growable_unbounded.unite g first e
          done))
 
-(* Micro: single operations on a prepared structure, with boxed-layout and
-   padded-layout twins for the flat-vs-boxed headline number.
+(* Micro: single operations on a prepared structure, with padded-layout and
+   seq-cst twins.
 
    The preparation ends with repeated find passes over every node: two-try
    splitting keeps shortening paths, so without the passes the structure
@@ -299,13 +291,6 @@ let flatten_native d =
   for _ = 1 to 3 do
     for i = 0 to Dsu.Native.n d - 1 do
       ignore (Dsu.Native.find d i)
-    done
-  done
-
-let flatten_boxed d =
-  for _ = 1 to 3 do
-    for i = 0 to Dsu.Boxed.n d - 1 do
-      ignore (Dsu.Boxed.find d i)
     done
   done
 
@@ -334,17 +319,6 @@ let bench_single_find =
            ignore (Dsu.Native.find d (Array.unsafe_get idx k))
          done))
 
-let bench_single_find_boxed =
-  let d = Dsu.Boxed.create ~seed:41 n_medium in
-  Workload.Op.run_boxed_array d (Array.of_list (spanning_ops n_medium 43));
-  flatten_boxed d;
-  let idx = micro_indices 47 in
-  Test.make ~name:"micro/find-boxed"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore (Dsu.Boxed.find d (Array.unsafe_get idx k))
-         done))
-
 let bench_single_find_padded =
   let d = Dsu.Native.create ~padded:true ~seed:41 n_medium in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
@@ -366,18 +340,6 @@ let bench_single_same_set =
          for k = 0 to micro_batch - 1 do
            ignore
              (Dsu.Native.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
-         done))
-
-let bench_single_same_set_boxed =
-  let d = Dsu.Boxed.create ~seed:53 n_medium in
-  Workload.Op.run_boxed_array d (Array.of_list (spanning_ops n_medium 59));
-  flatten_boxed d;
-  let xs = micro_indices 61 and ys = micro_indices 67 in
-  Test.make ~name:"micro/same_set-boxed"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore
-             (Dsu.Boxed.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
          done))
 
 (* Memory-order micro twin of micro/find: identical flattened structure and
@@ -473,14 +435,10 @@ let bench_bulk_mixed_per_op =
          let d = Dsu.Native.create ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
 
-(* Packed-vs-rank headline pairs: the bit-packed single-word layout
-   (Dsu.Packed) against the two-array rank comparator (Dsu.Rank) on the
-   same n=2^20 endpoint streams — unite over a fresh structure, then find
-   over a prepared flattened one.  Both link by rank with splitting, so
-   the pair isolates the memory layout: one word per node with mask/shift
-   unpacking versus two arrays with a div/mod decode and twice the
-   traffic.  Streams are shared (same seeds), so each pair is a paired
-   comparison; docs/PERFORMANCE.md quotes these numbers. *)
+(* Packed rank-linking pair: unite over a fresh n=2^20 structure, then
+   find over a prepared flattened one, on the bulk suite's endpoint
+   streams.  The names keep their history: docs/PERFORMANCE.md records
+   these against the retired two-array rank layout. *)
 let bench_packed_unite_pairs =
   let xs, ys = bulk_pairs bulk_unites 83 in
   Test.make ~name:"packedrank/unite-packed"
@@ -488,16 +446,6 @@ let bench_packed_unite_pairs =
          let d = Dsu.Packed.Native.create n_bulk in
          for k = 0 to bulk_unites - 1 do
            Dsu.Packed.Native.unite d (Array.unsafe_get xs k)
-             (Array.unsafe_get ys k)
-         done))
-
-let bench_rank_unite_pairs =
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"packedrank/unite-rank"
-    (Staged.stage (fun () ->
-         let d = Dsu.Rank.Native.create n_bulk in
-         for k = 0 to bulk_unites - 1 do
-           Dsu.Rank.Native.unite d (Array.unsafe_get xs k)
              (Array.unsafe_get ys k)
          done))
 
@@ -523,31 +471,11 @@ let bench_packed_find =
            ignore (Dsu.Packed.Native.find d (Array.unsafe_get idx k))
          done))
 
-let bench_rank_find =
-  let d = Dsu.Rank.Native.create n_bulk in
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  for k = 0 to bulk_unites - 1 do
-    Dsu.Rank.Native.unite d xs.(k) ys.(k)
-  done;
-  for _ = 1 to 3 do
-    for i = 0 to n_bulk - 1 do
-      ignore (Dsu.Rank.Native.find d i)
-    done
-  done;
-  let idx = bulk_find_indices 97 in
-  Test.make ~name:"packedrank/find-rank"
-    (Staged.stage (fun () ->
-         for k = 0 to bulk_queries - 1 do
-           ignore (Dsu.Rank.Native.find d (Array.unsafe_get idx k))
-         done))
-
 let all_tests () =
   [
     bench_native_policy Policy.No_compaction;
     bench_native_policy Policy.One_try_splitting;
     bench_native_policy Policy.Two_try_splitting;
-    bench_boxed_policy Policy.Two_try_splitting;
-    bench_boxed_policy Policy.One_try_splitting;
     bench_native_padded;
     bench_native_seqcst;
     bench_native_nobackoff;
@@ -572,11 +500,9 @@ let all_tests () =
     bench_growable;
     bench_growable_unbounded;
     bench_single_find;
-    bench_single_find_boxed;
     bench_single_find_padded;
     bench_single_find_seqcst;
     bench_single_same_set;
-    bench_single_same_set_boxed;
     bench_bulk_unite_batch;
     bench_bulk_unite_per_op;
     bench_bulk_same_set_batch;
@@ -584,9 +510,7 @@ let all_tests () =
     bench_bulk_mixed_batched;
     bench_bulk_mixed_per_op;
     bench_packed_unite_pairs;
-    bench_rank_unite_pairs;
     bench_packed_find;
-    bench_rank_find;
   ]
 
 (* ------------------------------------------------------------ CLI state *)
@@ -601,7 +525,7 @@ let parallel_ops = ref 400_000
 let max_domains = ref 8
 let unite_percent = ref 30
 let parallel_policies = ref [ Policy.Two_try_splitting; Policy.One_try_splitting ]
-let parallel_layouts = ref [ Harness.Scalability.Flat; Harness.Scalability.Boxed ]
+let parallel_layouts = ref [ Harness.Scalability.Flat ]
 let parallel_orders = ref [ Dsu.Memory_order.default ]
 let parallel_backoffs = ref [ true ]
 let parallel_dists = ref [ Harness.Scalability.Uniform ]
@@ -728,8 +652,8 @@ let speclist =
       "P1,P2  find policies for --parallel (default two-try,one-try)" );
     ( "--layouts",
       Arg.String set_layouts,
-      "L1,L2  memory layouts for --parallel: flat, flat-padded, boxed \
-       (default flat,boxed)" );
+      "L1,L2  memory layouts for --parallel: flat, flat-padded, packed \
+       (default flat)" );
     ( "--memory-orders",
       Arg.String set_memory_orders,
       "O1,O2  parent-load memory orders for --parallel: seq-cst, acquire, \

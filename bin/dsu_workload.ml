@@ -256,13 +256,12 @@ let with_progress progress f =
 
 (* ---------------------------------------------------------- native mode *)
 
-type impl = Jt | Jt_early | Rank | Packed | Aw | Lock | Seq
+type impl = Jt | Jt_early | Packed | Aw | Lock | Seq
 
 let impl_conv =
   let parse = function
     | "jt" -> Ok Jt
     | "jt-early" -> Ok Jt_early
-    | "rank" -> Ok Rank
     | "packed" -> Ok Packed
     | "aw" -> Ok Aw
     | "lock" -> Ok Lock
@@ -274,7 +273,6 @@ let impl_conv =
       (match impl with
       | Jt -> "jt"
       | Jt_early -> "jt-early"
-      | Rank -> "rank"
       | Packed -> "packed"
       | Aw -> "aw"
       | Lock -> "lock"
@@ -289,7 +287,7 @@ let impl_arg =
     & info [ "impl" ] ~docv:"IMPL"
         ~doc:
           "Implementation: jt (the paper's algorithm), jt-early (Section 6 \
-           variant), rank (Section 7 variant), packed (single-word \
+           variant), packed (Section 7 linking by rank, single-word \
            rank+parent layout), aw (Anderson-Woll), lock (global mutex), \
            seq (sequential).")
 
@@ -363,7 +361,7 @@ let wal_arg =
     & info [ "wal" ] ~docv:"FILE"
         ~doc:
           "Append every link to a group-committed write-ahead log at \
-           $(docv) (jt, jt-early, rank, packed or $(b,--plan) only — the \
+           $(docv) (jt, jt-early, packed or $(b,--plan) only — the \
            baselines carry no link notification).")
 
 let wal_flush_records_arg =
@@ -398,9 +396,9 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
   let* () =
     check_arg
       (wal = None || plan <> None
-      || match impl with Jt | Jt_early | Rank | Packed -> true | Aw | Lock | Seq -> false)
+      || match impl with Jt | Jt_early | Packed -> true | Aw | Lock | Seq -> false)
       "--wal needs an implementation with link notifications (jt, jt-early, \
-       rank, packed or --plan)"
+       packed or --plan)"
   in
   let* () =
     check_arg (wal_flush_records >= 1) "--wal-flush-records must be >= 1"
@@ -488,17 +486,6 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
         in
         root_fn := Some (Dsu.Native.is_root d);
         (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
-      | Dsu.Plan.Boxed ->
-        let d =
-          Dsu.Boxed.create ~policy ~backoff ~collect_stats:true ?on_link ~seed n
-        in
-        let dt =
-          in_domains
-            (apply_ops ~unite:(Dsu.Boxed.unite d)
-               ~same_set:(Dsu.Boxed.same_set d) ~find:(Dsu.Boxed.find d))
-        in
-        root_fn := Some (Dsu.Boxed.is_root d);
-        (dt, Dsu.Boxed.count_sets d, Some (Dsu.Boxed.stats d))
       | Dsu.Plan.Packed ->
         let d =
           Dsu.Packed.Native.create ~policy ~backoff ~memory_order
@@ -526,14 +513,6 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
       in
       root_fn := Some (Dsu.Native.is_root d);
       (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
-    | Rank ->
-      let d = Dsu.Rank.Native.create ~collect_stats:true ?on_link n in
-      let dt =
-        in_domains
-          (apply_ops ~unite:(Dsu.Rank.Native.unite d)
-             ~same_set:(Dsu.Rank.Native.same_set d) ~find:(Dsu.Rank.Native.find d))
-      in
-      (dt, Dsu.Rank.Native.count_sets d, Some (Dsu.Rank.Native.stats d))
     | Packed ->
       let d = Dsu.Packed.Native.create ~policy ~collect_stats:true ?on_link n in
       let dt =
@@ -1109,7 +1088,7 @@ let layouts_arg =
     & opt_all layout_conv []
     & info [ "layout" ] ~docv:"LAYOUT"
         ~doc:
-          "Memory layout to test: flat, flat-padded or boxed (repeatable; \
+          "Memory layout to test: flat, flat-padded or packed (repeatable; \
            default flat).")
 
 let policies_arg =
@@ -1165,8 +1144,8 @@ let kinds_arg =
     & opt_all kind_conv []
     & info [ "kind" ] ~docv:"KIND"
         ~doc:
-          "With $(b,--durable): snapshot kind to drill — flat, boxed, \
-           growable, rank or packed (repeatable; default all five).")
+          "With $(b,--durable): snapshot kind to drill — flat, growable \
+           or packed (repeatable; default all three).")
 
 let chaos_snapshot_out_arg =
   Arg.(
@@ -1814,9 +1793,11 @@ let serve_admission_arg =
 let serve_kind_arg =
   Arg.(
     value
-    & opt kind_conv Rsnap.Flat
+    & opt (some kind_conv) None
     & info [ "kind" ] ~docv:"KIND"
-        ~doc:"Backend kind: flat, boxed, growable, rank or packed.")
+        ~doc:
+          "Backend kind: flat, growable or packed (default: the kind the \
+           plan's layout names — packed for a packed plan, flat otherwise).")
 
 let serve_find_frac_arg =
   Arg.(
@@ -1850,7 +1831,7 @@ let serve_chaos_arg =
     value & flag
     & info [ "chaos" ]
         ~doc:
-          "Run the crash-recovery drill over all five backend kinds instead \
+          "Run the crash-recovery drill over all three backend kinds instead \
            of the sweep: crash a worker mid-drain and the WAL committer \
            mid-commit, recover from the newest fuzzy snapshot + WAL tail, \
            resume serving, and measure RPO (acked-but-lost unites; must be \

@@ -164,19 +164,7 @@ end
 
 (** Simulator instantiation; see {!Dsu.Dsu_sim} for the usage pattern. *)
 module Sim = struct
-  module Sim_memory = struct
-    type t = unit
-
-    let read () a = Apram.Process.read a
-    let cas () a expected desired = Apram.Process.cas a expected desired
-
-    (* Step-counted memory: weak CAS costs a strong CAS's step; prefetch
-       is not a memory step. *)
-    let cas_weak = cas
-    let prefetch () _ = ()
-  end
-
-  module A = Make (Sim_memory)
+  module A = Make (Dsu.Sim.Sim_memory)
 
   type t = A.t
 

@@ -31,13 +31,6 @@ module Algorithm = Dsu_algorithm
 module Native_memory = Native_memory
 module Native = Dsu_native
 
-module Boxed_memory = Boxed_memory
-(** The pre-flat-layout memory ([int Atomic.t array]); baseline side of the
-    memory-layout A/B benchmarks. *)
-
-(** The algorithm over {!Boxed_memory} — benchmarking comparator only; use
-    {!Native} for real work. *)
-module Boxed = Dsu_boxed
 module Sim = Dsu_sim
 module Growable = Growable
 
@@ -45,19 +38,16 @@ module Growable_unbounded = Growable_unbounded
 (** The capacity-free [MakeSet] variant: the universe grows without bound
     (Section 3 remark); set operations stay lock-free. *)
 
-module Rank = Rank_dsu
-(** The concurrent linking-by-rank variant of Section 7, which needs no
-    independence assumption; see experiment E15. *)
-
 module Packed = Packed_dsu
-(** Linking by rank over a bit-packed [(root flag, rank, parent)] word —
-    the shift/mask layout that replaces {!Rank}'s division-based packing;
-    supports every {!Find_policy} compaction rule. *)
+(** The concurrent linking-by-rank variant of Section 7, which needs no
+    independence assumption (see experiment E15): [(root flag, rank,
+    parent)] bit-packed into one word, supporting every {!Find_policy}
+    compaction rule; {!Packed.Sim} runs it in the APRAM simulator. *)
 
 module Plan = Dsu_plan
-
-(** Plan-dispatched backend as a first-class closure record. *)
-module Driver = Dsu_driver
 (** First-class configuration points of the plan space (linking rule x
     compaction x memory order x backoff x layout), with the registry swept
     by [Harness.Autotune] and the [--plan] CLI spec syntax. *)
+
+module Driver = Dsu_driver
+(** Plan-dispatched backend as a first-class closure record. *)

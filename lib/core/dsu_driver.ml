@@ -56,22 +56,6 @@ let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false) n =
       stats =
         (fun () -> if collect_stats then Some (Dsu_native.stats d) else None);
     }
-  | Dsu_plan.Boxed ->
-    let d = Dsu_boxed.create ~policy ~backoff ~collect_stats ~seed n in
-    {
-      n;
-      plan;
-      find = Dsu_boxed.find d;
-      same_set = Dsu_boxed.same_set d;
-      unite = Dsu_boxed.unite d;
-      unite_batch = Dsu_boxed.unite_batch d;
-      same_set_batch = Dsu_boxed.same_set_batch d;
-      find_batch = Dsu_boxed.find_batch d;
-      count_sets = (fun () -> Dsu_boxed.count_sets d);
-      parents_snapshot = (fun () -> Dsu_boxed.parents_snapshot d);
-      stats =
-        (fun () -> if collect_stats then Some (Dsu_boxed.stats d) else None);
-    }
   | Dsu_plan.Packed ->
     let d =
       Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats n

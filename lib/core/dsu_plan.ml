@@ -12,15 +12,11 @@
     meaningful:
 
     - [Random_id] linking (the paper's randomized algorithm) runs over
-      the [Flat], [Padded] and [Boxed] layouts;
-    - [By_rank] linking runs over the [Packed] single-word layout (the
-      two-array {!Rank_dsu} comparator is fixed to two-try splitting and
-      is deliberately not a plan point);
+      the [Flat] and [Padded] layouts;
+    - [By_rank] linking runs over the [Packed] single-word layout;
     - [By_size] linking names the remaining cell of the Alistarh et al.
       grid but has no concurrent implementation here yet — always
-      invalid, with a saying-so error;
-    - the [Boxed] layout has no memory-order knob ([Atomic.t] is always
-      sequentially consistent), so only [Seq_cst] is accepted for it.
+      invalid, with a saying-so error.
 
     The spec syntax, shared by [bench --plan] and [dsu_workload --plan],
     is five colon-separated fields:
@@ -44,20 +40,18 @@ let linking_of_string = function
   | "size" -> Some By_size
   | _ -> None
 
-type layout = Flat | Padded | Boxed | Packed
+type layout = Flat | Padded | Packed
 
-let all_layouts = [ Flat; Padded; Boxed; Packed ]
+let all_layouts = [ Flat; Padded; Packed ]
 
 let layout_to_string = function
   | Flat -> "flat"
   | Padded -> "flat-padded"
-  | Boxed -> "boxed"
   | Packed -> "packed"
 
 let layout_of_string = function
   | "flat" -> Some Flat
   | "flat-padded" | "padded" -> Some Padded
-  | "boxed" -> Some Boxed
   | "packed" -> Some Packed
   | _ -> None
 
@@ -105,24 +99,19 @@ let validate p =
        ROADMAP.md); use rand or rank"
   | Random_id, Packed ->
     Error "the packed layout links by rank; use rank:...:packed"
-  | By_rank, (Flat | Padded | Boxed) ->
+  | By_rank, (Flat | Padded) ->
     Error "rank linking requires the packed layout (rank:...:packed)"
-  | (Random_id | By_rank), _ ->
-    if p.layout = Boxed && p.memory_order <> Memory_order.Seq_cst then
-      Error
-        "the boxed layout has no memory-order knob (Atomic.t is always \
-         seq-cst); spell it rand:...:seq-cst:...:boxed"
-    else Ok ()
+  | (Random_id | By_rank), _ -> Ok ()
 
 let is_valid p = Result.is_ok (validate p)
 
 let of_string s =
   match String.split_on_char ':' s with
   | [ l; c; o; b; y ] -> (
-    let field what parse v =
+    let field ?(want = "") what parse v =
       match parse v with
       | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad plan %s %S in %S" what v s)
+      | None -> Error (Printf.sprintf "bad plan %s %S in %S%s" what v s want)
     in
     let ( let* ) = Result.bind in
     let* linking = field "linking rule" linking_of_string l in
@@ -133,7 +122,12 @@ let of_string s =
         (function "on" -> Some true | "off" -> Some false | _ -> None)
         b
     in
-    let* layout = field "layout" layout_of_string y in
+    let* layout =
+      field "layout" layout_of_string y
+        ~want:
+          (Printf.sprintf " (want %s)"
+             (String.concat ", " (List.map layout_to_string all_layouts)))
+    in
     let p = { linking; compaction; memory_order; backoff; layout } in
     match validate p with
     | Ok () -> Ok p
@@ -170,7 +164,7 @@ let registry =
           Find_policy.all)
       layouts
   in
-  points Random_id [ Flat; Boxed ] @ points By_rank [ Packed ]
+  points Random_id [ Flat ] @ points By_rank [ Packed ]
 
 (* The short list the fast calibration sweep measures: the default plan,
    its one-axis neighbours that historically matter (compaction rule,

@@ -21,6 +21,12 @@
       ...
     ]} *)
 
+module Sim_memory : Memory_intf.S with type t = unit
+(** The simulator's shared memory: each [read]/[cas] is one APRAM step
+    through {!Apram.Process}; a weak CAS costs a strong CAS's step and
+    [prefetch] is free.  Every simulator instantiation uses it (this
+    module, {!Packed_dsu.Sim}, the Anderson–Woll baseline). *)
+
 type spec = {
   n : int;
   policy : Find_policy.t;

@@ -1,12 +1,12 @@
 (** Concurrent linking-by-rank DSU over a {e bit-packed} single word per
     node — the GBBS [jayanti.h] layout.
 
-    {!Rank_dsu} already packs [(rank, parent)] into one word, but with
-    arithmetic coding ([word = rank * n + parent]): every hop pays an
-    integer division and a modulo by the {e non-constant} [n] to unpack,
-    which the compiler cannot strength-reduce.  Here the word is split
-    into fixed bit fields, so unpacking is a mask and a shift and the
-    root test is a single bit test:
+    An arithmetic coding of [(rank, parent)] ([word = rank * n + parent])
+    would make every hop pay an integer division and a modulo by the
+    {e non-constant} [n] to unpack, which the compiler cannot
+    strength-reduce.  Here the word is split into fixed bit fields, so
+    unpacking is a mask and a shift and the root test is a single bit
+    test:
 
     {v
       bit 62        (unused — OCaml ints are 63-bit)
@@ -21,9 +21,9 @@
     exceed [ceil(lg n) <= 40], far below the 21-bit field's 2^21 - 1.
 
     Linking is by rank with ties broken by node index (the winner's rank
-    promotion is a separate, best-effort CAS), so — like {!Rank_dsu} —
-    the structure needs no independence assumption; [find] supports all
-    five compaction policies with rank-preserving updates. *)
+    promotion is a separate, best-effort CAS), so the structure needs no
+    independence assumption; [find] supports all five compaction policies
+    with rank-preserving updates. *)
 
 (* ------------------------------------------------------- word layout *)
 
@@ -172,7 +172,7 @@ module Make (M : Memory_intf.S) = struct
     in
     loop x
 
-  (* Two-try splitting (the {!Rank_dsu} find, re-coded on the bit fields):
+  (* Two-try splitting on the bit fields:
      each node gets two splitting attempts before the traversal advances. *)
   let find_two_try t x =
     let try_split u =
@@ -558,11 +558,10 @@ module Make (M : Memory_intf.S) = struct
 
   let ranks_snapshot t = Array.init t.n (fun i -> rank_of_word (M.read t.mem i))
 
-  (* Fuzzy (non-quiescent) scan; see {!Rank_dsu.Make.snapshot_fuzzy} — one
-     word read per node keeps each (rank, parent) pair internally
-     consistent, and cross-node order violations from racing rank
-     promotions are left to the {!Repro_durable.Fuzzy} reconciliation
-     pass. *)
+  (* Fuzzy (non-quiescent) scan: one word read per node keeps each
+     (rank, parent) pair internally consistent, and cross-node order
+     violations from racing rank promotions are left to the
+     {!Repro_durable.Fuzzy} reconciliation pass. *)
   let snapshot_fuzzy t =
     let parents = Array.make t.n 0 and ranks = Array.make t.n 0 in
     for i = 0 to t.n - 1 do
@@ -573,7 +572,7 @@ module Make (M : Memory_intf.S) = struct
     done;
     (parents, ranks)
 
-  (* The by-rank order invariant (the {!Rank_dsu} analogue of Lemma 3.1):
+  (* The by-rank order invariant (the by-rank analogue of Lemma 3.1):
      every non-root points to a strictly larger rank, ties broken by node
      index.  The root flag must also agree with the parent field. *)
   let invariant_violations t =
@@ -702,4 +701,37 @@ module Native = struct
           else child_word ~rank:ranks.(i) ~parent:parents.(i))
     in
     A.create ?policy ?backoff ?stats ?on_link ~mem ~n ()
+end
+
+(** Simulator instantiation over {!Dsu_sim.Sim_memory}: every word read
+    and CAS is one APRAM step.  Backoff is off — a spin is host time, not
+    a simulated step, so it would only slow the simulation. *)
+module Sim = struct
+  module A = Make (Dsu_sim.Sim_memory)
+
+  type t = A.t
+
+  let mem_size n = n
+  let init _n i = init_word i
+
+  let handle n =
+    let stats = Dsu_stats.create () in
+    A.create ~backoff:false ~stats ~mem:() ~n ()
+
+  let find = A.find
+  let same_set = A.same_set
+  let unite = A.unite
+  let stats = A.stats
+  let parent_of = A.parent_of
+  let rank_of = A.rank_of
+
+  let same_set_op t x y () =
+    Apram.Process.record_invoke ~name:"same_set" ~args:[ x; y ];
+    let r = A.same_set t x y in
+    Apram.Process.record_return (if r then 1 else 0)
+
+  let unite_op t x y () =
+    Apram.Process.record_invoke ~name:"unite" ~args:[ x; y ];
+    A.unite t x y;
+    Apram.Process.record_return 0
 end

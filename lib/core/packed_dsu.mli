@@ -1,8 +1,8 @@
 (** Concurrent linking-by-rank DSU over a bit-packed single word per node
     (the GBBS [jayanti.h] layout): parent index, rank and a root flag in
     fixed bit fields of one 63-bit OCaml int, so link and split each stay
-    a single CAS and every unpack is a mask/shift instead of
-    {!Rank_dsu}'s division by the non-constant [n].
+    a single CAS and every unpack is a mask/shift instead of a division
+    by the non-constant [n].
 
     {v
       bit 61        root flag (set iff the node is a tree root)
@@ -92,8 +92,9 @@ module Make (M : Memory_intf.S) : sig
   (** Fuzzy (non-quiescent) [(parents, ranks)] scan — one word read per
       node with {!Repro_fault.Site.Snapshot_read} hits; racing rank
       promotions can leave cross-node [(rank, index)] order violations
-      for the {!Repro_durable.Fuzzy} reconciliation pass to repair.  See
-      {!Rank_dsu.Make.snapshot_fuzzy}. *)
+      for the {!Repro_durable.Fuzzy} reconciliation pass to repair: a
+      child scanned after a tie-break link whose parent's word was
+      scanned before the promotion.  See {!Dsu_native.snapshot_fuzzy}. *)
 end
 
 (** Native instantiation over {!Native_memory} ([Flat_atomic_array] with
@@ -154,4 +155,26 @@ module Native : sig
       words.  @raise Invalid_argument on length mismatch, out-of-range
       parents, ranks outside the bit field, or parents violating the
       [(rank, index)] order. *)
+end
+
+(** Simulator instantiation over {!Dsu_sim.Sim_memory} (backoff off, two-try
+    splitting); see {!Dsu_sim} for the usage pattern.  Memory cell [i]
+    holds node [i]'s packed word — decode with {!parent_of_word}. *)
+module Sim : sig
+  type t
+
+  val mem_size : int -> int
+  val init : int -> int -> int
+  val handle : int -> t
+  val find : t -> int -> int
+  val same_set : t -> int -> int -> bool
+  val unite : t -> int -> int -> unit
+  val rank_of : t -> int -> int
+  val parent_of : t -> int -> int
+  val stats : t -> Dsu_stats.snapshot
+
+  val same_set_op : t -> int -> int -> unit -> unit
+  (** Closure for {!Apram.Sim.run_ops}, recorded in the history. *)
+
+  val unite_op : t -> int -> int -> unit -> unit
 end

@@ -33,17 +33,9 @@ let of_native ?epoch d =
   capture ?epoch ~kind:Snapshot.Flat ~capacity:(Dsu.Native.n d) (fun () ->
       Dsu.Native.snapshot_fuzzy d)
 
-let of_boxed ?epoch d =
-  capture ?epoch ~kind:Snapshot.Boxed ~capacity:(Dsu.Boxed.n d) (fun () ->
-      Dsu.Boxed.snapshot_fuzzy d)
-
 let of_growable ?epoch d =
   capture ?epoch ~kind:Snapshot.Growable ~capacity:(Dsu.Growable.capacity d)
     (fun () -> Dsu.Growable.snapshot_fuzzy d)
-
-let of_rank ?epoch d =
-  capture ?epoch ~kind:Snapshot.Rank ~capacity:(Dsu.Rank.Native.n d) (fun () ->
-      Dsu.Rank.Native.snapshot_fuzzy d)
 
 let of_packed ?epoch d =
   capture ?epoch ~kind:Snapshot.Packed ~capacity:(Dsu.Packed.Native.n d)

@@ -71,9 +71,10 @@ let scenario_ok s = s.failures = [] && List.for_all (fun c -> c.passed) s.checks
 
 let hop_budget n = 16. *. ((log (float_of_int n) /. log 2.) +. 2.)
 
-(* One closure set per memory layout, so the worker loop and the audit are
-   written once.  [prio] feeds Forest_check the linking order the structure
-   actually used. *)
+(* One closure set per structure, so the worker loop and the audit are
+   written once.  [prio] feeds Forest_check the linking order the
+   structure actually uses: the immutable ids or priorities, or the packed
+   ranks read live (promotions move them while a run goes on). *)
 type handle = {
   unite : int -> int -> unit;
   same_set : int -> int -> bool;
@@ -83,58 +84,31 @@ type handle = {
   snapshot : unit -> Rsnap.t;
 }
 
-let handle_of ~layout ~policy ~memory_order ~seed n =
-  match (layout : Scalability.layout) with
-  | Flat | Padded ->
-    let d =
-      Dsu.Native.create
-        ~padded:(layout = Scalability.Padded)
-        ~policy ~memory_order ~seed n
-    in
-    {
-      unite = Dsu.Native.unite d;
-      same_set = Dsu.Native.same_set d;
-      find = Dsu.Native.find d;
-      parents = (fun () -> Dsu.Native.parents_snapshot d);
-      prio = Dsu.Native.id d;
-      snapshot = (fun () -> Rsnap.of_native d);
-    }
-  | Boxed ->
-    let d = Dsu.Boxed.create ~policy ~seed n in
-    {
-      unite = Dsu.Boxed.unite d;
-      same_set = Dsu.Boxed.same_set d;
-      find = Dsu.Boxed.find d;
-      parents = (fun () -> Dsu.Boxed.parents_snapshot d);
-      prio = Dsu.Boxed.id d;
-      snapshot = (fun () -> Rsnap.of_boxed d);
-    }
-  | Packed ->
-    (* Linking by rank: [seed] draws no priorities; the forest audit's
-       order is the rank unpacked from the live words. *)
-    let d = Dsu.Packed.Native.create ~policy ~memory_order n in
-    {
-      unite = Dsu.Packed.Native.unite d;
-      same_set = Dsu.Packed.Native.same_set d;
-      find = Dsu.Packed.Native.find d;
-      parents = (fun () -> Dsu.Packed.Native.parents_snapshot d);
-      prio = Dsu.Packed.Native.rank_of d;
-      snapshot = (fun () -> Rsnap.of_packed d);
-    }
-
-(* A handle over a restored structure, whatever kind came back.  The node
-   order is immutable, so it is captured once rather than re-snapshotted on
-   every [prio] call. *)
-let handle_of_restored (r : Rrestore.restored) =
-  let prios = (Rrestore.snapshot r).Rsnap.prios in
+let handle_of (r : Rrestore.restored) =
   {
     unite = Rrestore.unite r;
     same_set = Rrestore.same_set r;
     find = Rrestore.find r;
     parents = (fun () -> (Rrestore.snapshot r).Rsnap.parents);
-    prio = (fun i -> prios.(i));
+    prio =
+      (match r with
+      | Rrestore.Flat d -> Dsu.Native.id d
+      | Rrestore.Growable d -> Dsu.Growable.priority d
+      | Rrestore.Packed d -> Dsu.Packed.Native.rank_of d);
     snapshot = (fun () -> Rrestore.snapshot r);
   }
+
+(* A fresh structure for a harness layout: flat (padded or not) or
+   packed. *)
+let fresh ~layout ~policy ~memory_order ~seed n =
+  let kind =
+    match (layout : Scalability.layout) with
+    | Flat | Padded -> Rsnap.Flat
+    | Packed -> Rsnap.Packed
+  in
+  Rrestore.create ~policy ~memory_order
+    ~padded:(layout = Scalability.Padded)
+    ~seed kind n
 
 let gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain =
   Array.init domains (fun k ->
@@ -469,7 +443,9 @@ let run_scenario ?(config = default_config) ~layout ~policy () =
   validate_config config;
   let { n; ops_per_domain = m; domains; unite_percent; seed; _ } = config in
   let ops = gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m in
-  let h = handle_of ~layout ~policy ~memory_order:config.memory_order ~seed n in
+  let h =
+    handle_of (fresh ~layout ~policy ~memory_order:config.memory_order ~seed n)
+  in
   let clock = Atomic.make 0 in
   let starts = Array.init domains (fun _ -> Array.make m (-1)) in
   let stops = Array.init domains (fun _ -> Array.make m (-1)) in
@@ -551,7 +527,9 @@ let run_recovery_scenario ?(config = default_config) ~layout ~policy () =
   validate_config config;
   let { n; ops_per_domain = m; domains; unite_percent; seed; _ } = config in
   let ops = gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m in
-  let h = handle_of ~layout ~policy ~memory_order:config.memory_order ~seed n in
+  let h =
+    handle_of (fresh ~layout ~policy ~memory_order:config.memory_order ~seed n)
+  in
   let clock = Atomic.make 0 in
   let starts = Array.init domains (fun _ -> Array.make m (-1)) in
   let stops = Array.init domains (fun _ -> Array.make m (-1)) in
@@ -633,7 +611,7 @@ let run_recovery_scenario ?(config = default_config) ~layout ~policy () =
      from the op they died inside; stall/yield noise stays armed, crashes
      do not re-fire. *)
   let h2 =
-    handle_of_restored
+    handle_of
       (Rrestore.restore ~policy ~padded:(layout = Scalability.Padded) repaired)
   in
   let resumed_slots =
@@ -898,73 +876,6 @@ type durable = {
 
 let durable_ok d = List.for_all (fun c -> c.passed) d.d_checks
 
-(* The durable drill runs over snapshot kinds, not harness layouts: the
-   drill's point is that every layout a snapshot can restore survives a
-   crash during its own fuzzy scan. *)
-let durable_handle_of ~kind ~policy ~memory_order ~seed ~on_link n =
-  match (kind : Rsnap.kind) with
-  | Rsnap.Flat ->
-    let d = Dsu.Native.create ~policy ~memory_order ~on_link ~seed n in
-    ( {
-        unite = Dsu.Native.unite d;
-        same_set = Dsu.Native.same_set d;
-        find = Dsu.Native.find d;
-        parents = (fun () -> Dsu.Native.parents_snapshot d);
-        prio = Dsu.Native.id d;
-        snapshot = (fun () -> Rsnap.of_native d);
-      },
-      fun epoch -> Dfuzzy.of_native ~epoch d )
-  | Rsnap.Boxed ->
-    let d = Dsu.Boxed.create ~policy ~on_link ~seed n in
-    ( {
-        unite = Dsu.Boxed.unite d;
-        same_set = Dsu.Boxed.same_set d;
-        find = Dsu.Boxed.find d;
-        parents = (fun () -> Dsu.Boxed.parents_snapshot d);
-        prio = Dsu.Boxed.id d;
-        snapshot = (fun () -> Rsnap.of_boxed d);
-      },
-      fun epoch -> Dfuzzy.of_boxed ~epoch d )
-  | Rsnap.Growable ->
-    let d = Dsu.Growable.create ~policy ~memory_order ~on_link ~seed ~capacity:n () in
-    (* Pre-create the universe before the run so the workload's element ids
-       are live; make_set is not WAL-logged, so recovery's universe is the
-       snapshot's. *)
-    for _ = 1 to n do
-      ignore (Dsu.Growable.make_set d)
-    done;
-    ( {
-        unite = Dsu.Growable.unite d;
-        same_set = Dsu.Growable.same_set d;
-        find = Dsu.Growable.find d;
-        parents = (fun () -> Dsu.Growable.parents_snapshot d);
-        prio = Dsu.Growable.priority d;
-        snapshot = (fun () -> Rsnap.of_growable d);
-      },
-      fun epoch -> Dfuzzy.of_growable ~epoch d )
-  | Rsnap.Rank ->
-    let d = Dsu.Rank.Native.create ~memory_order ~on_link n in
-    ( {
-        unite = Dsu.Rank.Native.unite d;
-        same_set = Dsu.Rank.Native.same_set d;
-        find = Dsu.Rank.Native.find d;
-        parents = (fun () -> Dsu.Rank.Native.parents_snapshot d);
-        prio = Dsu.Rank.Native.rank_of d;
-        snapshot = (fun () -> Rsnap.of_rank d);
-      },
-      fun epoch -> Dfuzzy.of_rank ~epoch d )
-  | Rsnap.Packed ->
-    let d = Dsu.Packed.Native.create ~policy ~memory_order ~on_link n in
-    ( {
-        unite = Dsu.Packed.Native.unite d;
-        same_set = Dsu.Packed.Native.same_set d;
-        find = Dsu.Packed.Native.find d;
-        parents = (fun () -> Dsu.Packed.Native.parents_snapshot d);
-        prio = Dsu.Packed.Native.rank_of d;
-        snapshot = (fun () -> Rsnap.of_packed d);
-      },
-      fun epoch -> Dfuzzy.of_packed ~epoch d )
-
 (* Mutator slots get the usual stall/yield noise; the snapshotter (slot
    [domains]) crashes mid-way through its second fuzzy scan (the first
    scan spends [n] Snapshot_read hits, so hit [n + n/2 + 1] is halfway
@@ -1008,10 +919,14 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
       ~on_committer_start:(fun () -> Fi.enroll ~slot:(domains + 1))
       wal_path
   in
-  let h, fuzzy =
-    durable_handle_of ~kind ~policy ~memory_order:config.memory_order ~seed
-      ~on_link:(Dwal.append wal) n
+  (* The durable drill runs over snapshot kinds, not harness layouts: the
+     drill's point is that every layout a snapshot can restore survives a
+     crash during its own fuzzy scan. *)
+  let r =
+    Rrestore.create ~policy ~memory_order:config.memory_order
+      ~on_link:(Dwal.append wal) ~seed kind n
   in
+  let h = handle_of r and fuzzy epoch = Dfuzzy.of_restored ~epoch r in
   let epoch = Dwal.epoch wal in
   let clock = Atomic.make 0 in
   let starts = Array.init domains (fun _ -> Array.make m (-1)) in
@@ -1084,15 +999,13 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
     ]
   in
   (* Per-capture checks.  Reconciliation must be a no-op for the layouts
-     whose fuzzy scan is provably a forest cut (flat/boxed/growable: one
-     acquire load per node, ancestors are monotone).  Rank and packed
+     whose fuzzy scan is provably a forest cut (flat/growable: one
+     acquire load per node, ancestors are monotone).  Packed
      scans can legitimately catch a racing promotion as a cross-node
      order violation, so there the bar is only that the repaired cut
      refines both the raw scan and the final partition. *)
   let repair_exempt =
-    match kind with
-    | Rsnap.Rank | Rsnap.Packed -> true
-    | Rsnap.Flat | Rsnap.Boxed | Rsnap.Growable -> false
+    match kind with Rsnap.Packed -> true | Rsnap.Flat | Rsnap.Growable -> false
   in
   let cap_checks =
     let dirty =
@@ -1232,15 +1145,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
          structure.  Re-running completed unites is idempotent, and the
          full audit's partition sandwich stays sound because the re-run's
          completed unites connect everything recovery restored. *)
-      let h2 =
-        let base = handle_of_restored r in
-        match r with
-        (* Ranks move during the resumed run (promotions), so the audit
-           must read them live, not from the recovery-time capture. *)
-        | Rrestore.Rank d -> { base with prio = Dsu.Rank.Native.rank_of d }
-        | Rrestore.Packed d -> { base with prio = Dsu.Packed.Native.rank_of d }
-        | _ -> base
-      in
+      let h2 = handle_of r in
       let starts = Array.init domains (fun _ -> Array.make m (-1)) in
       let stops = Array.init domains (fun _ -> Array.make m (-1)) in
       let results = Array.init domains (fun _ -> Array.make m (-1)) in
@@ -1294,7 +1199,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
     d_resume_seconds = resume_seconds;
   }
 
-let all_kinds = [ Rsnap.Flat; Rsnap.Boxed; Rsnap.Growable; Rsnap.Rank; Rsnap.Packed ]
+let all_kinds = [ Rsnap.Flat; Rsnap.Growable; Rsnap.Packed ]
 
 let run_durable_all ?(config = default_config) ?(kinds = all_kinds) ?progress () =
   let emit d = match progress with None -> () | Some f -> f d in

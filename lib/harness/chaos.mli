@@ -54,8 +54,7 @@ type config = {
   layouts : Scalability.layout list;
   memory_order : Dsu.Memory_order.t;
       (** parent-load ordering mode for every scenario's structure
-          ([Flat]/[Padded] layouts; [Boxed] is always seq-cst), so the
-          chaos audit can be pointed at the tuned or the fenced path *)
+          (every layout), so the chaos audit can be pointed at the tuned or the fenced path *)
   validate : bool;  (** run the post-quiescence audit (default) *)
 }
 
@@ -196,7 +195,7 @@ val pp_recovery_report : Format.formatter -> (scenario * recovery) list -> unit
     At quiescence the drill audits phase 1 like {!run_scenario}, then
     checks the durability story end to end: the crashes fired where
     planned; at least one fuzzy snapshot survived; reconciliation was a
-    no-op for the single-pointer layouts (rank/packed scans may race a
+    no-op for the single-pointer layouts (packed scans may race a rank
     promotion, so there only refinement is asserted); each reconciled cut
     refines both its raw scan and the final partition; the WAL tail is
     torn and truncates cleanly; every valid record below a capture's
@@ -240,7 +239,8 @@ val run_durable_scenario :
     not the mutators, and runs over snapshot kinds. *)
 
 val all_kinds : Repro_recover.Snapshot.kind list
-(** All five snapshot kinds, the default drill coverage. *)
+(** All three snapshot kinds (flat, growable, packed), the default drill
+    coverage. *)
 
 val run_durable_all :
   ?config:config ->

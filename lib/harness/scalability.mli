@@ -8,8 +8,8 @@
     - the find policy,
     - the memory layout: [Flat] (the contiguous
       {!Repro_util.Flat_atomic_array} parent array), [Padded] (one parent
-      word per cache line — false-sharing ablation) and [Boxed] (the
-      pre-flat [int Atomic.t array] layout, via {!Dsu.Boxed}),
+      word per cache line — false-sharing ablation) and [Packed] (the
+      bit-packed linking-by-rank word, via {!Dsu.Packed.Native}),
     - the parent-load {!Dsu.Memory_order} mode and the link-CAS backoff
       switch (the memory-order × backoff ablation axis), and
     - the key distribution: [Uniform], or [Skewed] (80% of endpoints drawn
@@ -23,7 +23,7 @@
     docs/PERFORMANCE.md for the schema and how to read the numbers on
     machines with few cores. *)
 
-type layout = Dsu.Plan.layout = Flat | Padded | Boxed | Packed
+type layout = Dsu.Plan.layout = Flat | Padded | Packed
 (** [Packed] is the bit-packed linking-by-rank layout
     ({!Dsu.Packed.Native}); the constructors are shared with
     {!Dsu.Plan.layout} so plan points and sweep points interoperate. *)
@@ -46,8 +46,6 @@ type point = {
   layout : layout;
   policy : Dsu.Find_policy.t;
   memory_order : Dsu.Memory_order.t;
-      (** recorded even for [Boxed], which has no order knob (always
-          seq-cst) — keeps ablation grids rectangular *)
   backoff : bool;
   dist : dist;
   domains : int;
@@ -77,7 +75,7 @@ type config = {
 
 val default_config : config
 (** n = 2^16, 400k ops, 30% unites, domains 1/2/4/8, two-try and one-try
-    policies, flat vs boxed layouts, the default (relaxed-reads) order
+    policies, the flat layout, the default (relaxed-reads) order
     with backoff on, uniform keys. *)
 
 val run_point :

@@ -45,7 +45,7 @@ type config = {
   batch : int;
   admission : Svc.admission;
   plan : Dsu.Plan.t;
-  kind : Snapshot.kind;
+  kind : Snapshot.kind option;
   op_deadline_ms : float;  (* 0 = no per-op deadline *)
   durable : bool;  (* attach a WAL (group commit on the drain path) *)
 }
@@ -64,7 +64,7 @@ let default_config =
     batch = 64;
     admission = Svc.Reject;
     plan = Dsu.Plan.default;
-    kind = Snapshot.Flat;
+    kind = None;
     op_deadline_ms = 0.0;
     durable = false;
   }
@@ -160,7 +160,7 @@ let run_point ~config ~rate () =
   let wal =
     Option.map (fun d -> Wal.create_writer (Filename.concat d "wal.log")) dir
   in
-  let svc = Svc.create ?wal ~kind:config.kind (service_config config) in
+  let svc = Svc.create ?wal ?kind:config.kind (service_config config) in
   let worker k =
     let offsets =
       Latency.arrivals ~shape:config.shape ~rate ~ops:config.ops
@@ -540,13 +540,7 @@ let drill ~config ~kind () =
 let drill_all ~config () =
   List.map
     (fun kind -> drill ~config ~kind ())
-    [
-      Snapshot.Flat;
-      Snapshot.Boxed;
-      Snapshot.Growable;
-      Snapshot.Rank;
-      Snapshot.Packed;
-    ]
+    [ Snapshot.Flat; Snapshot.Growable; Snapshot.Packed ]
 
 (* -------------------------------------------------------------- JSON *)
 
@@ -626,7 +620,11 @@ let to_json config ~points ~drills =
       ("batch", J.Int config.batch);
       ("admission", J.String (Svc.admission_to_string config.admission));
       ("plan", J.String (Dsu.Plan.to_string config.plan));
-      ("kind", J.String (Snapshot.kind_to_string config.kind));
+      ( "kind",
+        J.String
+          (Snapshot.kind_to_string
+             (Option.value config.kind ~default:(Svc.kind_of_plan config.plan)))
+      );
       ("durable", J.Bool config.durable);
       ("points", J.List (List.map point_json points));
       ( "knee_rate",

@@ -35,7 +35,8 @@ type config = {
   batch : int;
   admission : Repro_service.Service.admission;
   plan : Dsu.Plan.t;
-  kind : Repro_recover.Snapshot.kind;
+  kind : Repro_recover.Snapshot.kind option;
+      (** [None] (the default): the kind the plan's layout names *)
   op_deadline_ms : float;  (** 0 = no per-op deadline *)
   durable : bool;  (** attach a WAL (group commit on the drain path) *)
 }
@@ -99,7 +100,7 @@ val drill : config:config -> kind:Repro_recover.Snapshot.kind -> unit -> drill
     directory — removed before returning). *)
 
 val drill_all : config:config -> unit -> drill list
-(** {!drill} over all five kinds: flat, boxed, growable, rank, packed. *)
+(** {!drill} over all three kinds: flat, growable, packed. *)
 
 val to_json : config -> points:point list -> drills:drill list -> Repro_obs.Json.t
 (** The [dsu-service/v1] document (either list may be empty). *)

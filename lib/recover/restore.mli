@@ -7,9 +7,7 @@
 
 type restored =
   | Flat of Dsu.Native.t
-  | Boxed of Dsu.Boxed.t
   | Growable of Dsu.Growable.t
-  | Rank of Dsu.Rank.Native.t
   | Packed of Dsu.Packed.Native.t
 
 val restore :
@@ -20,12 +18,28 @@ val restore :
   ?on_link:(child:int -> parent:int -> unit) ->
   Snapshot.t ->
   restored
-(** [policy] applies to the Flat, Boxed, Growable and Packed kinds;
-    [early] to Flat, Boxed and Growable; [padded] to Flat and Packed;
-    [on_link] (all kinds) hooks every successful link CAS — pass
+(** [policy] applies to every kind; [early] to Flat and Growable;
+    [padded] to Flat and Packed; [on_link] (all kinds) hooks every successful link CAS — pass
     {!Repro_durable.Wal.append} to resume logging after recovery.
     @raise Invalid_argument when the snapshot fails the layout's invariant
     validation (run {!Repair.repair} first). *)
+
+val create :
+  ?policy:Dsu.Find_policy.t ->
+  ?backoff:bool ->
+  ?memory_order:Dsu.Memory_order.t ->
+  ?padded:bool ->
+  ?on_link:(child:int -> parent:int -> unit) ->
+  seed:int ->
+  Snapshot.kind ->
+  int ->
+  restored
+(** A fresh structure of the given kind over [n] singleton elements — the
+    one constructor the service backend and the chaos drills share.
+    [seed] draws the random ids (Flat) or priorities (Growable); Packed
+    links by rank and ignores it.  Growable makes all [n] elements up
+    front: [make_set] is not WAL-logged, so a recovered universe is the
+    snapshot's.  [padded] applies to Flat and Packed. *)
 
 val restore_result :
   ?policy:Dsu.Find_policy.t ->

@@ -1,6 +1,6 @@
 module J = Repro_obs.Json
 
-type kind = Flat | Boxed | Growable | Rank | Packed
+type kind = Flat | Growable | Packed
 
 type t = {
   kind : kind;
@@ -17,16 +17,12 @@ let with_epoch t epoch =
 
 let kind_to_string = function
   | Flat -> "flat"
-  | Boxed -> "boxed"
   | Growable -> "growable"
-  | Rank -> "rank"
   | Packed -> "packed"
 
 let kind_of_string = function
   | "flat" -> Some Flat
-  | "boxed" -> Some Boxed
   | "growable" -> Some Growable
-  | "rank" -> Some Rank
   | "packed" -> Some Packed
   | _ -> None
 
@@ -41,17 +37,6 @@ let of_native d =
     prios = Dsu.Native.ids_snapshot d;
   }
 
-let of_boxed d =
-  let n = Dsu.Boxed.n d in
-  {
-    kind = Boxed;
-    n;
-    capacity = n;
-    epoch = 0;
-    parents = Dsu.Boxed.parents_snapshot d;
-    prios = Dsu.Boxed.ids_snapshot d;
-  }
-
 let of_growable d =
   {
     kind = Growable;
@@ -60,17 +45,6 @@ let of_growable d =
     epoch = 0;
     parents = Dsu.Growable.parents_snapshot d;
     prios = Dsu.Growable.priorities_snapshot d;
-  }
-
-let of_rank d =
-  let n = Dsu.Rank.Native.n d in
-  {
-    kind = Rank;
-    n;
-    capacity = n;
-    epoch = 0;
-    parents = Dsu.Rank.Native.parents_snapshot d;
-    prios = Dsu.Rank.Native.ranks_snapshot d;
   }
 
 let of_packed d =
@@ -89,26 +63,27 @@ let ok t = Repro_fault.Forest_check.ok (check t)
 
 let crc32 = Repro_util.Crc32.string
 
-let kind_byte = function
-  | Flat -> 0
-  | Boxed -> 1
-  | Growable -> 2
-  | Rank -> 3
-  | Packed -> 4
+(* Every kind byte and JSON kind name ever written.  Bytes 1 ("boxed")
+   and 3 ("rank") came from two retired layouts whose payloads are the
+   same as Flat's (parents plus id permutation) and Packed's (parents plus
+   ranks), so they decode as those kinds; the checksum still covers the
+   byte as written. *)
+let kind_names =
+  [ ("flat", 0); ("boxed", 1); ("growable", 2); ("rank", 3); ("packed", 4) ]
+
+let kind_byte = function Flat -> 0 | Growable -> 2 | Packed -> 4
 
 let kind_of_byte = function
-  | 0 -> Some Flat
-  | 1 -> Some Boxed
+  | 0 | 1 -> Some Flat
   | 2 -> Some Growable
-  | 3 -> Some Rank
-  | 4 -> Some Packed
+  | 3 | 4 -> Some Packed
   | _ -> None
 
 (* The canonical v2 body both codecs checksum: kind byte, then epoch, n,
    capacity and the two arrays as 8-byte little-endian words. *)
-let body t =
+let body ~byte t =
   let buf = Buffer.create (25 + (16 * t.n)) in
-  Buffer.add_char buf (Char.chr (kind_byte t.kind));
+  Buffer.add_char buf (Char.chr byte);
   let scratch = Bytes.create 8 in
   let add_word v =
     Bytes.set_int64_le scratch 0 (Int64.of_int v);
@@ -123,9 +98,9 @@ let body t =
 
 (* The v1 body — no epoch — kept so checksums in v1 files (binary and
    JSON) still validate on read. *)
-let body_v1 t =
+let body_v1 ~byte t =
   let buf = Buffer.create (17 + (16 * t.n)) in
-  Buffer.add_char buf (Char.chr (kind_byte t.kind));
+  Buffer.add_char buf (Char.chr byte);
   let scratch = Bytes.create 8 in
   let add_word v =
     Bytes.set_int64_le scratch 0 (Int64.of_int v);
@@ -137,13 +112,13 @@ let body_v1 t =
   Array.iter add_word t.prios;
   Buffer.contents buf
 
-let checksum t = crc32 (body t)
+let checksum t = crc32 (body ~byte:(kind_byte t.kind) t)
 
 let magic = "DSUSNAP2"
 let magic_v1 = "DSUSNAP1"
 
 let to_binary_string t =
-  let body = body t in
+  let body = body ~byte:(kind_byte t.kind) t in
   let buf = Buffer.create (String.length magic + String.length body + 4) in
   Buffer.add_string buf magic;
   Buffer.add_string buf body;
@@ -267,14 +242,15 @@ let of_json json =
     | _ -> Error "field \"schema\" is not a string"
   in
   let* k = field "kind" (J.member "kind" json) in
-  let* kind =
+  let* byte =
     match k with
     | J.String v -> (
-      match kind_of_string v with
-      | Some k -> Ok k
+      match List.assoc_opt v kind_names with
+      | Some b -> Ok b
       | None -> Error (Printf.sprintf "unknown kind %S" v))
     | _ -> Error "field \"kind\" is not a string"
   in
+  let kind = Option.get (kind_of_byte byte) in
   let* n = int_field "n" in
   let* capacity = int_field "capacity" in
   let* epoch = if v2 then int_field "epoch" else Ok 0 in
@@ -290,7 +266,7 @@ let of_json json =
   let t = { kind; n; capacity; epoch; parents; prios } in
   let* stored = int_field "checksum" in
   (* v1 files checksummed the v1 body (no epoch). *)
-  let computed = if v2 then checksum t else crc32 (body_v1 t) in
+  let computed = crc32 (if v2 then body ~byte t else body_v1 ~byte t) in
   if stored = computed then Ok t
   else Error (Printf.sprintf "checksum mismatch: stored %08x, computed %08x" stored computed)
 

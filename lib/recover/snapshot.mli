@@ -2,9 +2,9 @@
 
     A snapshot is the raw state any of the layouts can be rebuilt from:
     the parent array plus the per-node linking order ([prios] — the id
-    permutation for {!Dsu.Native}/{!Dsu.Boxed}, the 62-bit random priorities
-    for {!Dsu.Growable}, the ranks for {!Dsu.Rank.Native} and
-    {!Dsu.Packed.Native}, extracted from the packed words).  All the orders
+    permutation for {!Dsu.Native}, the 62-bit random priorities for
+    {!Dsu.Growable}, the ranks for {!Dsu.Packed.Native}, extracted from the
+    packed words).  All the orders
     share the algorithm's [less]: priority first, node index on ties — so
     one {!check} validates any kind against Lemma 3.1.
 
@@ -31,12 +31,16 @@
     - JSON: schema ["dsu-snapshot/v2"] with the checksum as a field.
 
     Both decoders also read the previous version (["DSUSNAP1"] /
-    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0].
+    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0], and every kind
+    ever written: kind byte 1 / ["boxed"] (a retired layout over the same
+    parents and id permutation) decodes as {!Flat}, kind byte 3 /
+    ["rank"] (a retired layout over the same parents and ranks) as
+    {!Packed}.
 
     Decoders return [result]s — a malformed or checksum-failing file is an
     ordinary error, never an exception. *)
 
-type kind = Flat | Boxed | Growable | Rank | Packed
+type kind = Flat | Growable | Packed
 
 type t = {
   kind : kind;
@@ -57,10 +61,7 @@ val kind_of_string : string -> kind option
 (** {1 Capture} — quiescent only; see the layout's [parents_snapshot] doc. *)
 
 val of_native : Dsu.Native.t -> t
-val of_boxed : Dsu.Boxed.t -> t
 val of_growable : Dsu.Growable.t -> t
-val of_rank : Dsu.Rank.Native.t -> t
-
 val of_packed : Dsu.Packed.Native.t -> t
 (** [prios] holds the ranks unpacked from the bit fields; restore re-packs
     them ({!Dsu.Packed.Native.of_snapshot}). *)

@@ -377,31 +377,6 @@ let snapshot_files t =
 
 (* -------------------------------------------------------------- lifecycle *)
 
-let backend_of ~kind ~(plan : Dsu.Plan.t) ~seed ?on_link n =
-  let policy = plan.Dsu.Plan.compaction in
-  let memory_order = plan.Dsu.Plan.memory_order in
-  let backoff = plan.Dsu.Plan.backoff in
-  match (kind : Rsnap.kind) with
-  | Rsnap.Flat ->
-    Restore.Flat
-      (Dsu.Native.create
-         ~padded:(plan.Dsu.Plan.layout = Dsu.Plan.Padded)
-         ~policy ~backoff ~memory_order ?on_link ~seed n)
-  | Rsnap.Boxed -> Restore.Boxed (Dsu.Boxed.create ~policy ~backoff ?on_link ~seed n)
-  | Rsnap.Growable ->
-    let d =
-      Dsu.Growable.create ~policy ~memory_order ?on_link ~seed ~capacity:n ()
-    in
-    (* pre-create the universe: make_set is not WAL-logged, so a recovered
-       universe is the snapshot's (same convention as the durable drill) *)
-    for _ = 1 to n do
-      ignore (Dsu.Growable.make_set d)
-    done;
-    Restore.Growable d
-  | Rsnap.Rank -> Restore.Rank (Dsu.Rank.Native.create ~memory_order ?on_link n)
-  | Rsnap.Packed ->
-    Restore.Packed (Dsu.Packed.Native.create ~policy ~backoff ~memory_order ?on_link n)
-
 let validate_config cfg =
   if cfg.n < 2 then invalid_arg "Service.create: n must be >= 2";
   if cfg.workers < 1 then invalid_arg "Service.create: workers must be >= 1";
@@ -412,7 +387,12 @@ let validate_config cfg =
   if cfg.snapshot_interval <= 0. then
     invalid_arg "Service.create: snapshot_interval must be positive"
 
-let create ?backend ?wal ?on_worker_start ?(kind = Rsnap.Flat) cfg =
+let kind_of_plan (plan : Dsu.Plan.t) =
+  match plan.Dsu.Plan.layout with
+  | Dsu.Plan.Flat | Dsu.Plan.Padded -> Rsnap.Flat
+  | Dsu.Plan.Packed -> Rsnap.Packed
+
+let create ?backend ?wal ?on_worker_start ?kind cfg =
   validate_config cfg;
   let backend =
     match backend with
@@ -421,7 +401,13 @@ let create ?backend ?wal ?on_worker_start ?(kind = Rsnap.Flat) cfg =
       let on_link =
         Option.map (fun w -> fun ~child ~parent -> Wal.append w ~child ~parent) wal
       in
-      backend_of ~kind ~plan:cfg.plan ~seed:cfg.seed ?on_link cfg.n
+      let plan = cfg.plan in
+      Restore.create ~policy:plan.Dsu.Plan.compaction
+        ~backoff:plan.Dsu.Plan.backoff ~memory_order:plan.Dsu.Plan.memory_order
+        ~padded:(plan.Dsu.Plan.layout = Dsu.Plan.Padded)
+        ?on_link ~seed:cfg.seed
+        (Option.value kind ~default:(kind_of_plan plan))
+        cfg.n
   in
   (* worst-case responses outstanding per lane: every admitted op of every
      worker (queued + one in-process batch) could route to one lane *)

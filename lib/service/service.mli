@@ -101,6 +101,10 @@ val default_config : config
 
 type t
 
+val kind_of_plan : Dsu.Plan.t -> Repro_recover.Snapshot.kind
+(** The kind a plan's layout names: [Flat] for flat and flat-padded,
+    [Packed] for packed — what {!create} builds when given no [kind]. *)
+
 val create :
   ?backend:Repro_recover.Restore.restored ->
   ?wal:Repro_durable.Wal.writer ->
@@ -108,8 +112,9 @@ val create :
   ?kind:Repro_recover.Snapshot.kind ->
   config ->
   t
-(** Build the backend (from [kind], default [Flat], under the config's
-    plan; WAL [on_link] attached when [wal] is given), write the initial
+(** Build the backend (of [kind], by default {!kind_of_plan} of the
+    config's plan, under that plan; WAL [on_link] attached when [wal] is
+    given), write the initial
     snapshot if configured, and spawn the worker and snapshotter domains.
     [backend] overrides construction — pass a recovered
     {!Repro_recover.Restore.restored} (with its own [on_link] re-attached

@@ -202,15 +202,15 @@ let pipeline_tests =
         let packed =
           { Dsu.Plan.default with linking = Dsu.Plan.By_rank; layout = Dsu.Plan.Packed }
         in
-        let boxed =
+        let padded =
           {
             Dsu.Plan.default with
-            layout = Dsu.Plan.Boxed;
+            layout = Dsu.Plan.Padded;
             memory_order = Dsu.Memory_order.Seq_cst;
           }
         in
         check_stream "packed plan" ~plan:packed s;
-        check_stream "boxed plan" ~plan:boxed s);
+        check_stream "padded seq-cst plan" ~plan:padded s);
     case "sampling skips edges but keeps answers" (fun () ->
         (* A dense-ish ER graph has a giant component, so k-out sampling
            must actually skip a decent share of finish-phase edges. *)
@@ -371,10 +371,9 @@ let driver_tests =
               (d.Dsu.Driver.count_sets ()))
           [
             Dsu.Plan.default;
-            { Dsu.Plan.default with layout = Dsu.Plan.Padded };
             {
               Dsu.Plan.default with
-              layout = Dsu.Plan.Boxed;
+              layout = Dsu.Plan.Padded;
               memory_order = Dsu.Memory_order.Seq_cst;
             };
             {
@@ -408,7 +407,7 @@ let driver_tests =
             Dsu.Plan.default;
             {
               Dsu.Plan.default with
-              layout = Dsu.Plan.Boxed;
+              layout = Dsu.Plan.Padded;
               memory_order = Dsu.Memory_order.Seq_cst;
             };
             {

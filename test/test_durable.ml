@@ -414,15 +414,15 @@ let test_fuzzy_flat () =
       in
       (cap, Snap.of_native d))
 
-let test_fuzzy_boxed () =
-  check_fuzzy_refines ~name:"boxed" ~seeds ~strict:true (fun seed ->
-      let d = Dsu.Boxed.create ~seed race_n in
+let test_fuzzy_flat_padded () =
+  check_fuzzy_refines ~name:"flat-padded" ~seeds ~strict:true (fun seed ->
+      let d = Dsu.Native.create ~padded:true ~seed race_n in
       let cap =
         run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
-          ~unite:(Dsu.Boxed.unite d)
-          ~capture:(fun () -> Fuzzy.of_boxed d)
+          ~unite:(Dsu.Native.unite d)
+          ~capture:(fun () -> Fuzzy.of_native d)
       in
-      (cap, Snap.of_boxed d))
+      (cap, Snap.of_native d))
 
 let test_fuzzy_growable () =
   check_fuzzy_refines ~name:"growable" ~seeds ~strict:true (fun seed ->
@@ -437,19 +437,19 @@ let test_fuzzy_growable () =
       in
       (cap, Snap.of_growable d))
 
-let test_fuzzy_rank () =
-  check_fuzzy_refines ~name:"rank" ~seeds ~strict:false (fun seed ->
-      let d = Dsu.Rank.Native.create race_n in
-      let cap =
-        run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
-          ~unite:(Dsu.Rank.Native.unite d)
-          ~capture:(fun () -> Fuzzy.of_rank d)
-      in
-      (cap, Snap.of_rank d))
-
 let test_fuzzy_packed () =
   check_fuzzy_refines ~name:"packed" ~seeds ~strict:false (fun seed ->
       let d = Dsu.Packed.Native.create race_n in
+      let cap =
+        run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
+          ~unite:(Dsu.Packed.Native.unite d)
+          ~capture:(fun () -> Fuzzy.of_packed d)
+      in
+      (cap, Snap.of_packed d))
+
+let test_fuzzy_packed_padded () =
+  check_fuzzy_refines ~name:"packed-padded" ~seeds ~strict:false (fun seed ->
+      let d = Dsu.Packed.Native.create ~padded:true race_n in
       let cap =
         run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
           ~unite:(Dsu.Packed.Native.unite d)
@@ -555,10 +555,10 @@ let () =
       ( "fuzzy-refines",
         [
           case "flat x100 races" test_fuzzy_flat;
-          case "boxed x100 races" test_fuzzy_boxed;
           case "growable x100 races" test_fuzzy_growable;
-          case "rank x100 races" test_fuzzy_rank;
           case "packed x100 races" test_fuzzy_packed;
+          case "flat-padded x100 races" test_fuzzy_flat_padded;
+          case "padded packed x100 races" test_fuzzy_packed_padded;
         ] );
       ( "snapshot",
         [
@@ -569,5 +569,6 @@ let () =
         [
           case "flat" (test_durable_drill Snap.Flat);
           case "packed" (test_durable_drill Snap.Packed);
+          case "growable" (test_durable_drill Snap.Growable);
         ] );
     ]

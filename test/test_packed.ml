@@ -1,5 +1,6 @@
 (* Tests for the bit-packed single-word (rank, parent, root-bit) layout
-   (Dsu.Packed) and the first-class plan space (Dsu.Plan). *)
+   (Dsu.Packed) — natively and in the APRAM simulator — and the
+   first-class plan space (Dsu.Plan). *)
 
 module Packed = Dsu.Packed
 module Plan = Dsu.Plan
@@ -246,10 +247,30 @@ let plan_tests =
           (rejected "rand:two-try:relaxed-reads:on:packed");
         check Alcotest.bool "rank linking off packed" true
           (rejected "rank:two-try:relaxed-reads:on:flat");
-        check Alcotest.bool "boxed with an order knob" true
-          (rejected "rand:two-try:relaxed-reads:on:boxed");
-        check Alcotest.bool "boxed spelled seq-cst is fine" false
+        check Alcotest.bool "boxed is no longer a layout" true
           (rejected "rand:two-try:seq-cst:on:boxed"));
+    case "the layouts are flat, flat-padded and packed" (fun () ->
+        check (Alcotest.list Alcotest.string) "names"
+          [ "flat"; "flat-padded"; "packed" ]
+          (List.map Plan.layout_to_string Plan.all_layouts);
+        List.iter
+          (fun l ->
+            check Alcotest.bool (Plan.layout_to_string l) true
+              (Plan.layout_of_string (Plan.layout_to_string l) = Some l))
+          Plan.all_layouts;
+        check Alcotest.bool "boxed unknown" true
+          (Plan.layout_of_string "boxed" = None));
+    case "an unknown layout's error names the valid layouts" (fun () ->
+        match Plan.of_string "rand:compression:seq-cst:on:boxed" with
+        | Ok _ -> Alcotest.fail "accepted the boxed layout"
+        | Error e ->
+          let contains sub =
+            let ls = String.length sub and le = String.length e in
+            let rec go i = i + ls <= le && (String.sub e i ls = sub || go (i + 1)) in
+            go 0
+          in
+          check Alcotest.bool ("names the layouts: " ^ e) true
+            (contains "flat, flat-padded, packed"));
     case "malformed specs name the bad field" (fun () ->
         let err s =
           match Plan.of_string s with
@@ -263,7 +284,7 @@ let plan_tests =
         check Alcotest.bool "bad backoff" true
           (String.length (err "rand:two-try:relaxed-reads:maybe:flat") > 0));
     case "every valid plan runs through the scalability harness" (fun () ->
-        (* one cheap point per plan family: flat default, boxed, packed *)
+        (* one cheap point per plan family: flat, padded, packed *)
         List.iter
           (fun spec ->
             match Plan.of_string spec with
@@ -284,11 +305,202 @@ let plan_tests =
           [
             "rand:two-try:relaxed-reads:on:flat";
             "rand:halving:seq-cst:off:flat-padded";
-            "rand:compression:seq-cst:on:boxed";
+            "rand:compression:acquire:on:flat";
             "rank:one-try:acquire:on:packed";
           ]);
   ]
 
+(* ------------------------------------------------------------- simulator *)
+
+(* Run one simulated process per list of unites and return the final
+   packed words. *)
+let sim_run ~n ~sched ops_lists =
+  let h = Packed.Sim.handle n in
+  let bodies =
+    Array.map (List.map (fun (x, y) -> Packed.Sim.unite_op h x y)) ops_lists
+  in
+  let outcome =
+    Apram.Sim.run_ops ~mem_size:(Packed.Sim.mem_size n) ~init:(Packed.Sim.init n)
+      ~sched bodies
+  in
+  Array.init n (Apram.Memory.peek outcome.Apram.Sim.memory)
+
+(* Nodes whose word breaks the rank order (a child must point to a larger
+   (rank, index)) or whose root flag disagrees with the parent field. *)
+let word_violations words =
+  let key i = (Packed.rank_of_word words.(i), i) in
+  List.filter_map
+    (fun i ->
+      let p = Packed.parent_of_word words.(i) in
+      let bad =
+        if Packed.is_root_word words.(i) then p <> i
+        else p = i || compare (key i) (key p) >= 0
+      in
+      if bad then Some (i, p) else None)
+    (List.init (Array.length words) Fun.id)
+
+let sim_tests =
+  [
+    case "sim partition matches oracle under adversarial schedules" (fun () ->
+        let n = 20 in
+        let rng = Rng.create 31 in
+        let ops_lists =
+          Array.init 3 (fun _ ->
+              List.init 10 (fun _ -> (Rng.int rng n, Rng.int rng n)))
+        in
+        let q = Quick_find.create n in
+        Array.iter (List.iter (fun (x, y) -> Quick_find.unite q x y)) ops_lists;
+        List.iter
+          (fun sched ->
+            let h = Packed.Sim.handle n in
+            let bodies =
+              Array.map
+                (List.map (fun (x, y) -> Packed.Sim.unite_op h x y))
+                ops_lists
+            in
+            let outcome =
+              Apram.Sim.run_ops ~mem_size:(Packed.Sim.mem_size n)
+                ~init:(Packed.Sim.init n) ~sched bodies
+            in
+            let parent i =
+              Packed.parent_of_word (Apram.Memory.peek outcome.Apram.Sim.memory i)
+            in
+            let rec root i = if parent i = i then i else root (parent i) in
+            for x = 0 to n - 1 do
+              for y = x to n - 1 do
+                check Alcotest.bool
+                  (Printf.sprintf "%s %d %d" (Apram.Scheduler.name sched) x y)
+                  (Quick_find.same_set q x y)
+                  (root x = root y)
+              done
+            done)
+          [
+            Apram.Scheduler.round_robin ();
+            Apram.Scheduler.random ~seed:5;
+            Apram.Scheduler.cas_adversary ~seed:6;
+            Apram.Scheduler.laggard ~seed:7 ~victim:0 ~delay:9;
+          ]);
+    case "sim histories linearize" (fun () ->
+        let n = 6 in
+        let rng = Rng.create 41 in
+        for trial = 1 to 15 do
+          let h = Packed.Sim.handle n in
+          let ops =
+            Array.init 3 (fun _ ->
+                List.init 3 (fun _ ->
+                    let x = Rng.int rng n and y = Rng.int rng n in
+                    if Rng.bool rng then Packed.Sim.unite_op h x y
+                    else Packed.Sim.same_set_op h x y))
+          in
+          let outcome =
+            Apram.Sim.run_ops ~mem_size:(Packed.Sim.mem_size n)
+              ~init:(Packed.Sim.init n)
+              ~sched:(Apram.Scheduler.random ~seed:trial) ops
+          in
+          match Lincheck.Checker.check ~n outcome.Apram.Sim.history with
+          | Lincheck.Checker.Linearizable -> ()
+          | Lincheck.Checker.Not_linearizable msg -> Alcotest.fail msg
+        done);
+    case "sim single process matches native word for word" (fun () ->
+        (* Rank linking is deterministic, so one simulated process and the
+           native structure, fed the same unites, build the same forest. *)
+        let n = 48 in
+        let rng = Rng.create 17 in
+        let ops = List.init 120 (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+        let d = Packed.Native.create n in
+        List.iter (fun (x, y) -> Packed.Native.unite d x y) ops;
+        let memory = sim_run ~n ~sched:(Apram.Scheduler.round_robin ()) [| ops |] in
+        check (Alcotest.array Alcotest.int) "parents"
+          (Packed.Native.parents_snapshot d)
+          (Array.map Packed.parent_of_word memory);
+        check (Alcotest.array Alcotest.int) "ranks"
+          (Packed.Native.ranks_snapshot d)
+          (Array.map Packed.rank_of_word memory));
+    case "sim rank tie promotes the winner" (fun () ->
+        let memory =
+          sim_run ~n:4 ~sched:(Apram.Scheduler.round_robin ()) [| [ (0, 1) ] |]
+        in
+        let roots =
+          List.filter
+            (fun i -> Packed.is_root_word memory.(i))
+            [ 0; 1 ]
+        in
+        match roots with
+        | [ r ] -> check Alcotest.int "winner rank" 1 (Packed.rank_of_word memory.(r))
+        | _ -> Alcotest.fail "expected exactly one root of {0, 1}");
+    case "sim rank order holds under every schedule" (fun () ->
+        let n = 24 in
+        let rng = Rng.create 53 in
+        let ops_lists =
+          Array.init 3 (fun _ ->
+              List.init 16 (fun _ -> (Rng.int rng n, Rng.int rng n)))
+        in
+        List.iter
+          (fun sched ->
+            let memory = sim_run ~n ~sched ops_lists in
+            check
+              (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+              (Apram.Scheduler.name sched) [] (word_violations memory))
+          [
+            Apram.Scheduler.round_robin ();
+            Apram.Scheduler.random ~seed:8;
+            Apram.Scheduler.cas_adversary ~seed:9;
+            Apram.Scheduler.laggard ~seed:10 ~victim:1 ~delay:7;
+          ]);
+    case "sim ranks are bounded by lg n" (fun () ->
+        let n = 64 in
+        let rng = Rng.create 61 in
+        let ops_lists =
+          Array.init 3 (fun _ ->
+              List.init 80 (fun _ -> (Rng.int rng n, Rng.int rng n)))
+        in
+        let memory =
+          sim_run ~n ~sched:(Apram.Scheduler.random ~seed:4) ops_lists
+        in
+        Array.iteri
+          (fun i w ->
+            check Alcotest.bool (string_of_int i) true (Packed.rank_of_word w <= 6))
+          memory);
+    case "sim adversarial chain stays logarithmic" (fun () ->
+        let n = 256 in
+        let chain = List.init (n - 1) (fun i -> (i, i + 1)) in
+        let memory =
+          sim_run ~n ~sched:(Apram.Scheduler.round_robin ()) [| chain |]
+        in
+        let parent i = Packed.parent_of_word memory.(i) in
+        let rec depth i = if parent i = i then 0 else 1 + depth (parent i) in
+        for i = 0 to n - 1 do
+          check Alcotest.bool (string_of_int i) true (depth i <= 8)
+        done);
+    case "sim link count equals merged sets under contention" (fun () ->
+        let n = 20 in
+        let rng = Rng.create 71 in
+        let ops_lists =
+          Array.init 4 (fun _ ->
+              List.init 12 (fun _ -> (Rng.int rng n, Rng.int rng n)))
+        in
+        let h = Packed.Sim.handle n in
+        let bodies =
+          Array.map (List.map (fun (x, y) -> Packed.Sim.unite_op h x y)) ops_lists
+        in
+        let outcome =
+          Apram.Sim.run_ops ~mem_size:(Packed.Sim.mem_size n)
+            ~init:(Packed.Sim.init n) ~sched:(Apram.Scheduler.cas_adversary ~seed:3)
+            bodies
+        in
+        let roots = ref 0 in
+        for i = 0 to n - 1 do
+          if Packed.is_root_word (Apram.Memory.peek outcome.Apram.Sim.memory i)
+          then incr roots
+        done;
+        check Alcotest.int "links" (n - !roots) (Packed.Sim.stats h).Dsu.Stats.links);
+  ]
+
 let () =
   Alcotest.run "packed_dsu"
-    [ ("word", word_tests); ("native", native_tests); ("plan", plan_tests) ]
+    [
+      ("word", word_tests);
+      ("native", native_tests);
+      ("sim", sim_tests);
+      ("plan", plan_tests);
+    ]

@@ -57,7 +57,7 @@ let variant_cases =
 (* The flat memory layout under real parallelism: oracle-agreement stress on
    the cache-line-padded mode across every find policy (the default
    unpadded mode is what every other case in this file already exercises,
-   since Native is flat now), plus the boxed A/B comparator and a raw
+   since Native is flat now), the padded packed layout, plus a raw
    CAS-contention hammer on Flat_atomic_array itself. *)
 let flat_layout_cases =
   let padded_cases =
@@ -86,11 +86,22 @@ let flat_layout_cases =
   in
   padded_cases
   @ [
-      case "boxed comparator agrees with oracle under 4 domains" (fun () ->
+      case "flat vs flat-padded reach the same partition" (fun () ->
+          let n = 400 in
+          let ops = domain_unites ~k:9 ~n ~per_domain:1200 in
+          let f = Native.create ~seed:5 n in
+          let p = Native.create ~padded:true ~seed:5 n in
+          List.iter (fun (x, y) -> Native.unite f x y) ops;
+          List.iter (fun (x, y) -> Native.unite p x y) ops;
+          check Alcotest.int "count_sets" (Native.count_sets f)
+            (Native.count_sets p);
+          check (Alcotest.array Alcotest.int) "same forest"
+            (Native.parents_snapshot f) (Native.parents_snapshot p));
+      case "padded packed layout agrees with oracle under 4 domains" (fun () ->
           let n = 300 in
-          let d = Dsu.Boxed.create ~seed:7 n in
+          let d = Dsu.Packed.Native.create ~padded:true n in
           let worker k () =
-            List.iter (fun (x, y) -> Dsu.Boxed.unite d x y)
+            List.iter (fun (x, y) -> Dsu.Packed.Native.unite d x y)
               (domain_unites ~k ~n ~per_domain:1500)
           in
           let handles = List.init 4 (fun k -> Domain.spawn (worker k)) in
@@ -101,30 +112,15 @@ let flat_layout_cases =
               (domain_unites ~k ~n ~per_domain:1500)
           done;
           check Alcotest.int "count_sets" (Quick_find.count_sets q)
-            (Dsu.Boxed.count_sets d);
+            (Dsu.Packed.Native.count_sets d);
           for x = 0 to 59 do
             for y = 0 to 59 do
               check Alcotest.bool "pair" (Quick_find.same_set q x y)
-                (Dsu.Boxed.same_set d x y)
+                (Dsu.Packed.Native.same_set d x y)
             done
           done;
           check Alcotest.int "invariants" 0
-            (List.length (Dsu.Boxed.invariant_violations d)));
-      case "flat vs boxed reach the same partition" (fun () ->
-          let n = 400 in
-          let ops = domain_unites ~k:9 ~n ~per_domain:1200 in
-          let f = Native.create ~seed:5 n in
-          let b = Dsu.Boxed.create ~seed:5 n in
-          List.iter (fun (x, y) -> Native.unite f x y) ops;
-          List.iter (fun (x, y) -> Dsu.Boxed.unite b x y) ops;
-          check Alcotest.int "count_sets" (Native.count_sets f)
-            (Dsu.Boxed.count_sets b);
-          for x = 0 to 79 do
-            for y = 0 to 79 do
-              check Alcotest.bool "pair" (Native.same_set f x y)
-                (Dsu.Boxed.same_set b x y)
-            done
-          done);
+            (List.length (Dsu.Packed.Native.invariant_violations d)));
       case "cas hammer: every increment lands exactly once" (fun () ->
           let module F = Repro_util.Flat_atomic_array in
           List.iter

@@ -1,5 +1,6 @@
 (* Tests for the crash-recovery subsystem: the snapshot codecs round-trip
-   all four layouts, corrupted and truncated files are rejected as errors,
+   all three kinds and still decode the retired kinds' files, corrupted
+   and truncated files are rejected as errors,
    repair-on-restart fixes seeded storage corruption while provably only
    splitting sets, and a crashed multi-domain run snapshots, restores and
    resumes to a clean full audit. *)
@@ -25,11 +26,6 @@ let native_snap () =
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Native.unite d);
   Snap.of_native d
 
-let boxed_snap () =
-  let d = Dsu.Boxed.create ~seed:5 128 in
-  rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Boxed.unite d);
-  Snap.of_boxed d
-
 let growable_snap () =
   let d = Dsu.Growable.create ~seed:5 ~capacity:256 () in
   for _ = 1 to 100 do
@@ -38,11 +34,6 @@ let growable_snap () =
   rng_ops ~seed:11 ~n:100 ~ops:150 (Dsu.Growable.unite d);
   Snap.of_growable d
 
-let rank_snap () =
-  let d = Dsu.Rank.Native.create 128 in
-  rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Rank.Native.unite d);
-  Snap.of_rank d
-
 let packed_snap () =
   let d = Dsu.Packed.Native.create 128 in
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Packed.Native.unite d);
@@ -50,8 +41,7 @@ let packed_snap () =
 
 let all_layouts =
   [
-    ("flat", native_snap); ("boxed", boxed_snap); ("growable", growable_snap);
-    ("rank", rank_snap); ("packed", packed_snap);
+    ("flat", native_snap); ("growable", growable_snap); ("packed", packed_snap);
   ]
 
 (* ---------------------------------------------------------------- codec *)
@@ -102,7 +92,7 @@ let codec_tests =
             (fun k ->
               check Alcotest.bool "round-trip" true
                 (Snap.kind_of_string (Snap.kind_to_string k) = Some k))
-            [ Snap.Flat; Snap.Boxed; Snap.Growable; Snap.Rank; Snap.Packed ]);
+            [ Snap.Flat; Snap.Growable; Snap.Packed ]);
       case "corrupted byte fails the checksum" (fun () ->
           let s = Snap.to_binary_string (native_snap ()) in
           let b = Bytes.of_string s in
@@ -202,34 +192,178 @@ let codec_tests =
               ("negative rank", with_prio 0 (-1));
               ("out-of-range parent", with_parent 3 base.Snap.n);
             ]);
-      case "packed: restore-unite-resnapshot agrees with the rank oracle"
+      case "packed: restore-unite-resnapshot agrees with the quick-find oracle"
         (fun () ->
           (* Resume semantics: operations applied to a restored packed
              instance must partition identically to the same operations on
-             an independently restored instance of another kind. *)
+             a quick-find oracle seeded with the snapshot's partition. *)
           let snap = packed_snap () in
           let restored = Restore.restore snap in
           (match restored with
           | Restore.Packed _ -> ()
           | _ -> Alcotest.fail "packed snapshot restored to another kind");
-          let oracle =
-            Restore.restore { snap with Snap.kind = Snap.Rank }
-          in
+          let oracle = Sequential.Quick_find.create snap.Snap.n in
+          Array.iteri (Sequential.Quick_find.unite oracle) snap.Snap.parents;
           rng_ops ~seed:23 ~n:snap.Snap.n ~ops:150 (fun x y ->
               Restore.unite restored x y;
-              Restore.unite oracle x y);
+              Sequential.Quick_find.unite oracle x y);
           for x = 0 to snap.Snap.n - 1 do
             for y = x + 1 to min (snap.Snap.n - 1) (x + 7) do
               check Alcotest.bool
                 (Printf.sprintf "same_set %d %d" x y)
-                (Restore.same_set oracle x y)
+                (Sequential.Quick_find.same_set oracle x y)
                 (Restore.same_set restored x y)
             done
           done;
-          check Alcotest.int "set counts agree" (Restore.count_sets oracle)
+          check Alcotest.int "set counts agree"
+            (Sequential.Quick_find.count_sets oracle)
             (Restore.count_sets restored);
           check Alcotest.bool "re-snapshot still a valid forest" true
             (Snap.ok (Restore.snapshot restored)));
+    ]
+  @ List.map
+      (fun (layout, make) ->
+        case (layout ^ ": padded restore round-trips the snapshot") (fun () ->
+            let snap = make () in
+            let restored = Restore.restore ~padded:true snap in
+            check Alcotest.bool "re-snapshot equal" true
+              (Snap.equal snap (Restore.snapshot restored));
+            check Alcotest.string "kind" layout
+              (Snap.kind_to_string (Restore.kind restored))))
+      [ ("flat", native_snap); ("packed", packed_snap) ]
+
+(* ------------------------------------------------------ legacy fixtures *)
+
+(* Snapshots written by the two retired layouts (see fixtures/README.md):
+   kind byte 1 / "boxed" decodes as Flat, kind byte 3 / "rank" as Packed.
+   Both recorded the partition of the same 48 unites over n = 64. *)
+let fixture_n = 64
+
+let fixture_oracle () =
+  let q = Sequential.Quick_find.create fixture_n in
+  for i = 0 to 47 do
+    Sequential.Quick_find.unite q i (((i * 7) + 5) mod fixture_n)
+  done;
+  q
+
+let legacy_fixtures =
+  [
+    ("snapshot_v2_boxed.bin", Snap.Flat);
+    ("snapshot_v2_boxed.json", Snap.Flat);
+    ("snapshot_v2_rank.bin", Snap.Packed);
+    ("snapshot_v2_rank.json", Snap.Packed);
+  ]
+
+let legacy_tests =
+  List.map
+    (fun (file, kind) ->
+      case (file ^ " decodes, restores and validates") (fun () ->
+          match Snap.read_file (Filename.concat "fixtures" file) with
+          | Error e -> Alcotest.failf "%s: %s" file e
+          | Ok snap ->
+            check Alcotest.string "decoded kind" (Snap.kind_to_string kind)
+              (Snap.kind_to_string snap.Snap.kind);
+            check Alcotest.int "n" fixture_n snap.Snap.n;
+            let restored = Restore.restore snap in
+            check Alcotest.string "restored kind" (Snap.kind_to_string kind)
+              (Snap.kind_to_string (Restore.kind restored));
+            let q = fixture_oracle () in
+            check Alcotest.int "sets"
+              (Sequential.Quick_find.count_sets q)
+              (Restore.count_sets restored);
+            for x = 0 to fixture_n - 1 do
+              for y = x + 1 to fixture_n - 1 do
+                check Alcotest.bool
+                  (Printf.sprintf "same_set %d %d" x y)
+                  (Sequential.Quick_find.same_set q x y)
+                  (Restore.same_set restored x y)
+              done
+            done;
+            (* What [dsu_workload restore --validate] checks. *)
+            check Alcotest.bool "validates" true
+              (Snap.ok (Restore.snapshot restored))))
+    legacy_fixtures
+  @ List.map
+      (fun (file, kind) ->
+        case (file ^ " resumes and re-snapshots as its successor kind")
+          (fun () ->
+            (* Resuming from a legacy file: later unites partition like the
+               oracle, and the next snapshot is written under the current
+               kind, which reads back unchanged. *)
+            match Snap.read_file (Filename.concat "fixtures" file) with
+            | Error e -> Alcotest.failf "%s: %s" file e
+            | Ok snap ->
+              let restored =
+                match Restore.restore_result snap with
+                | Ok r -> r
+                | Error e -> Alcotest.failf "restore_result: %s" e
+              in
+              let q = fixture_oracle () in
+              rng_ops ~seed:29 ~n:fixture_n ~ops:40 (fun x y ->
+                  Restore.unite restored x y;
+                  Sequential.Quick_find.unite q x y);
+              check Alcotest.int "sets"
+                (Sequential.Quick_find.count_sets q)
+                (Restore.count_sets restored);
+              for x = 0 to fixture_n - 1 do
+                check Alcotest.bool
+                  (Printf.sprintf "same_set 0 %d" x)
+                  (Sequential.Quick_find.same_set q 0 x)
+                  (Restore.same_set restored 0 x)
+              done;
+              let snap' = Restore.snapshot restored in
+              check Alcotest.string "re-snapshot kind"
+                (Snap.kind_to_string kind)
+                (Snap.kind_to_string snap'.Snap.kind);
+              match Snap.of_binary_string (Snap.to_binary_string snap') with
+              | Ok back ->
+                check Alcotest.bool "reads back" true (Snap.equal snap' back)
+              | Error e -> Alcotest.failf "re-snapshot decode: %s" e))
+      legacy_fixtures
+  @ [
+      case "retired kind names are not current kind strings" (fun () ->
+          (* They decode only from files; no option accepts them. *)
+          List.iter
+            (fun name ->
+              check Alcotest.bool name true (Snap.kind_of_string name = None))
+            [ "boxed"; "rank" ]);
+      case "a legacy json kind is covered by the checksum" (fun () ->
+          let path = Filename.concat "fixtures" "snapshot_v2_boxed.json" in
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          let needle = "\"boxed\"" in
+          let i =
+            let rec go i =
+              if i + String.length needle > String.length text then
+                Alcotest.fail "fixture names no boxed kind"
+              else if String.sub text i (String.length needle) = needle then i
+              else go (i + 1)
+            in
+            go 0
+          in
+          let tampered =
+            String.sub text 0 i ^ "\"flat\""
+            ^ String.sub text (i + String.length needle)
+                (String.length text - i - String.length needle)
+          in
+          match Snap.of_json_string tampered with
+          | Ok _ -> Alcotest.fail "a rewritten kind passed the checksum"
+          | Error _ -> ());
+      case "an unknown kind byte is still rejected" (fun () ->
+          (* Rewrite a valid body's kind byte to 5 and re-seal the CRC, so
+             only the kind is wrong. *)
+          let s = Snap.to_binary_string (native_snap ()) in
+          let body = Bytes.of_string (String.sub s 8 (String.length s - 12)) in
+          Bytes.set body 0 (Char.chr 5);
+          let crc = Bytes.create 4 in
+          Bytes.set_int32_le crc 0
+            (Int32.of_int (Repro_util.Crc32.string (Bytes.to_string body)));
+          match
+            Snap.of_binary_string
+              (String.sub s 0 8 ^ Bytes.to_string body ^ Bytes.to_string crc)
+          with
+          | Ok _ -> Alcotest.fail "kind byte 5 accepted"
+          | Error e ->
+            check Alcotest.string "message" "unknown snapshot kind byte 5" e);
     ]
 
 (* --------------------------------------------------------------- repair *)
@@ -419,6 +553,7 @@ let () =
   Alcotest.run "recover"
     [
       ("codec", codec_tests);
+      ("legacy", legacy_tests);
       ("repair", repair_tests);
       ("recovery", recovery_tests);
     ]

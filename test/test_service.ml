@@ -212,7 +212,7 @@ let test_queue_stress_yields () =
    replay of the accepted prefix.  Only unite/same_set are compared —
    find's answer is a representative node, which the layouts are free to
    pick differently (checked separately below). *)
-let test_service_sequential_oracle () =
+let test_service_sequential_oracle ?kind ?(plan = Dsu.Plan.default) () =
   let n = 256 in
   let parent = Array.init n Fun.id in
   let rec find x = if parent.(x) = x then x else find parent.(x) in
@@ -225,9 +225,14 @@ let test_service_sequential_oracle () =
       queue_capacity = 64;
       batch = 16;
       admission = Svc.Block 0.2;
+      plan;
     }
   in
-  let svc = Svc.create cfg in
+  let svc = Svc.create ?kind cfg in
+  check Alcotest.string "backend kind"
+    (Repro_recover.Snapshot.kind_to_string
+       (Option.value kind ~default:(Svc.kind_of_plan plan)))
+    (Repro_recover.Snapshot.kind_to_string (Svc.kind svc));
   let rng = Rng.create 3 in
   let expected = Hashtbl.create 512 in
   let answered = ref 0 in
@@ -310,6 +315,33 @@ let test_service_element_bounds () =
     (Invalid_argument "Service.submit: element 8 outside [0, 8)") (fun () ->
       ignore (Svc.submit svc ~session:0 (Svc.Find 8)));
   Svc.stop svc
+
+(* With no kind given, the backend is the layout the plan names; an
+   explicit kind still wins. *)
+let test_service_kind_follows_plan () =
+  let kind_of ?kind plan =
+    let cfg =
+      { Svc.default_config with Svc.n = 8; workers = 1; clients = 1; plan }
+    in
+    let svc = Svc.create ?kind cfg in
+    let k = Svc.kind svc in
+    Svc.stop svc;
+    Repro_recover.Snapshot.kind_to_string k
+  in
+  let packed =
+    {
+      Dsu.Plan.default with
+      linking = Dsu.Plan.By_rank;
+      layout = Dsu.Plan.Packed;
+      compaction = Dsu.Find_policy.Halving;
+    }
+  in
+  check Alcotest.string "packed plan" "packed" (kind_of packed);
+  check Alcotest.string "default plan" "flat" (kind_of Dsu.Plan.default);
+  check Alcotest.string "padded plan" "flat"
+    (kind_of { Dsu.Plan.default with layout = Dsu.Plan.Padded });
+  check Alcotest.string "explicit kind" "growable"
+    (kind_of ~kind:Repro_recover.Snapshot.Growable packed)
 
 (* --------------------------------------------- backpressure accounting *)
 
@@ -407,9 +439,27 @@ let () =
         ] );
       ( "service",
         [
-          case "sequential oracle (1 worker)" test_service_sequential_oracle;
+          case "sequential oracle (1 worker)" (fun () ->
+              test_service_sequential_oracle ());
+          case "sequential oracle, packed plan (1 worker)" (fun () ->
+              test_service_sequential_oracle
+                ~plan:
+                  {
+                    Dsu.Plan.default with
+                    linking = Dsu.Plan.By_rank;
+                    layout = Dsu.Plan.Packed;
+                  }
+                ());
+          case "sequential oracle, flat-padded plan (1 worker)" (fun () ->
+              test_service_sequential_oracle
+                ~plan:{ Dsu.Plan.default with layout = Dsu.Plan.Padded }
+                ());
+          case "sequential oracle, growable kind (1 worker)" (fun () ->
+              test_service_sequential_oracle
+                ~kind:Repro_recover.Snapshot.Growable ());
           case "find returns a root" test_service_find_is_root;
           case "element bounds" test_service_element_bounds;
+          case "backend kind follows the plan" test_service_kind_follows_plan;
         ] );
       ( "backpressure",
         [
