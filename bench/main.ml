@@ -57,6 +57,13 @@ module Rng = Repro_util.Rng
    streams are arrays so the run loop iterates contiguous memory instead of
    chasing list cells (Workload.Op.run_native_array). *)
 
+(* A benchmark is its name and a function that builds its fixture and
+   the bechamel test.  [run_bechamel] filters by name first, so only the
+   selected benchmarks pay for their fixtures (several are n = 2^20
+   structures with unites and flatten passes), and the other modes pay
+   for none. *)
+let bench name make = (name, fun () -> make name)
+
 let n_small = 1 lsl 10
 let n_medium = 1 lsl 14
 
@@ -70,9 +77,9 @@ let mixed_ops_arr n m seed = Array.of_list (mixed_ops n m seed)
 
 (* E1/E13 family: native end-to-end workload per policy. *)
 let bench_native_policy policy =
+  bench (Printf.sprintf "native/%s" (Policy.to_string policy)) @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make
-    ~name:(Printf.sprintf "native/%s" (Policy.to_string policy))
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~policy ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
@@ -80,8 +87,9 @@ let bench_native_policy policy =
 (* Memory-layout A/B twin: the identical workload over the cache-line-padded
    flat array. *)
 let bench_native_padded =
+  bench "native/padded-two-try" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/padded-two-try"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~padded:true ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
@@ -90,8 +98,9 @@ let bench_native_padded =
    load fully fenced (seq-cst) — the fenced baseline the tuned default
    (relaxed-reads) is measured against.  Compare against native/two-try. *)
 let bench_native_seqcst =
+  bench "native/two-try-seqcst" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/two-try-seqcst"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d =
            Dsu.Native.create ~memory_order:Dsu.Memory_order.Seq_cst ~seed:7
@@ -103,24 +112,27 @@ let bench_native_seqcst =
    should be indistinguishable (backoff only runs after a failed link CAS);
    the multi-domain difference is the --parallel sweep's job. *)
 let bench_native_nobackoff =
+  bench "native/two-try-nobackoff" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/two-try-nobackoff"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~backoff:false ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
 
 (* E10 family: early termination. *)
 let bench_native_early =
+  bench "native/two-try+early" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/two-try+early"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~early:true ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
 
 (* E8 family: baselines on the same workload. *)
 let bench_aw =
+  bench "baseline/anderson-woll" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"baseline/anderson-woll"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Baselines.Anderson_woll.Native.create n_medium in
          Array.iter
@@ -133,8 +145,9 @@ let bench_aw =
            ops))
 
 let bench_locked =
+  bench "baseline/global-lock" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"baseline/global-lock"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Baselines.Locked_dsu.create n_medium in
          Array.iter
@@ -148,35 +161,38 @@ let bench_locked =
 
 (* E9 family: sequential variants. *)
 let bench_seq linking compaction =
+  bench
+    (Printf.sprintf "seq/%s-%s"
+       (Sequential.Seq_dsu.linking_to_string linking)
+       (Sequential.Seq_dsu.compaction_to_string compaction))
+  @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make
-    ~name:
-      (Printf.sprintf "seq/%s-%s"
-         (Sequential.Seq_dsu.linking_to_string linking)
-         (Sequential.Seq_dsu.compaction_to_string compaction))
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Sequential.Seq_dsu.create ~linking ~compaction ~seed:5 n_medium in
          Workload.Op.run_seq_array d ops))
 
 (* E4/E5 family: one simulated execution (work measurement machinery). *)
 let bench_sim policy =
+  bench (Printf.sprintf "sim/p4-%s" (Policy.to_string policy)) @@ fun name ->
   let ops = Workload.Op.round_robin (spanning_ops n_small 11) ~p:4 in
-  Test.make
-    ~name:(Printf.sprintf "sim/p4-%s" (Policy.to_string policy))
+  Test.make ~name
     (Staged.stage (fun () ->
          ignore (Harness.Measure.run_sim ~policy ~n:n_small ~seed:13 ~ops ())))
 
 (* E6/E7 family: the adversarial binomial build. *)
 let bench_binomial =
+  bench "workload/binomial-build" @@ fun name ->
   let k = 1 lsl 10 in
   let ops = Array.of_list (Workload.Binomial.schedule ~base:0 ~k) in
-  Test.make ~name:"workload/binomial-build"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~seed:17 k in
          Workload.Op.run_native_array d ops))
 
 (* E11 family: linearizability checking cost. *)
 let bench_lincheck =
+  bench "lincheck/12-op-history" @@ fun name ->
   let history =
     let ops =
       Array.init 3 (fun pid ->
@@ -187,26 +203,29 @@ let bench_lincheck =
     let r = Harness.Measure.run_sim ~n:6 ~seed:19 ~ops () in
     r.Harness.Measure.history
   in
-  Test.make ~name:"lincheck/12-op-history"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Lincheck.Checker.check ~n:6 history)))
 
 (* E12 family: the applications. *)
 let bench_components =
+  bench "apps/connected-components" @@ fun name ->
   let g =
     Graphs.Generators.erdos_renyi ~rng:(Rng.create 23) ~n:n_medium ~m:(2 * n_medium) ()
   in
-  Test.make ~name:"apps/connected-components"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Graphs.Components.sequential g)))
 
 let bench_kruskal =
+  bench "apps/kruskal-msf" @@ fun name ->
   let rng = Rng.create 29 in
   let g = Graphs.Generators.erdos_renyi ~rng ~n:n_small ~m:(4 * n_small) () in
   let w = Graphs.Graph.with_random_weights ~rng g in
-  Test.make ~name:"apps/kruskal-msf"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Graphs.Kruskal.run_concurrent_dsu ~seed:3 w)))
 
 let bench_percolation =
-  Test.make ~name:"apps/percolation-32x32"
+  bench "apps/percolation-32x32" @@ fun name ->
+  Test.make ~name
     (Staged.stage
        (let counter = ref 0 in
         fun () ->
@@ -214,34 +233,39 @@ let bench_percolation =
           ignore (Graphs.Percolation.simulate ~rng:(Rng.create !counter) 32)))
 
 let bench_scc =
+  bench "apps/scc-condensation" @@ fun name ->
   let g =
     Graphs.Generators.clustered_digraph ~rng:(Rng.create 31) ~clusters:32
       ~cluster_size:16 ~extra:256
   in
-  Test.make ~name:"apps/scc-condensation"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Graphs.Scc.condense_with_dsu ~seed:5 g)))
 
 (* New-application families (E12 extensions). *)
 let bench_boruvka =
+  bench "apps/boruvka-msf" @@ fun name ->
   let rng = Rng.create 63 in
   let g = Graphs.Generators.erdos_renyi ~rng ~n:n_small ~m:(4 * n_small) () in
   let w = Graphs.Graph.with_random_weights ~rng g in
-  Test.make ~name:"apps/boruvka-msf"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Graphs.Boruvka.run w)))
 
 let bench_lca =
+  bench "apps/offline-lca" @@ fun name ->
   let rng = Rng.create 67 in
   let t = Graphs.Lca.random_tree ~rng ~n:n_small in
   let queries = List.init 512 (fun _ -> (Rng.int rng n_small, Rng.int rng n_small)) in
-  Test.make ~name:"apps/offline-lca"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Graphs.Lca.solve t queries)))
 
 let bench_dominators =
+  bench "apps/dominators-lt" @@ fun name ->
   let g = Graphs.Generators.random_digraph ~rng:(Rng.create 71) ~n:n_small ~m:(3 * n_small) in
-  Test.make ~name:"apps/dominators-lt"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Graphs.Dominators.lengauer_tarjan g ~root:0)))
 
 let bench_steensgaard =
+  bench "apps/steensgaard" @@ fun name ->
   let rng = Rng.create 73 in
   let var i = Printf.sprintf "v%d" i in
   let program =
@@ -253,13 +277,14 @@ let bench_steensgaard =
         | 2 -> Analysis.Steensgaard.Load (x, y)
         | _ -> Analysis.Steensgaard.Store (x, y))
   in
-  Test.make ~name:"apps/steensgaard"
+  Test.make ~name
     (Staged.stage (fun () ->
          ignore (Analysis.Steensgaard.analyze ~capacity:16_384 program)))
 
 (* MakeSet extension. *)
 let bench_growable =
-  Test.make ~name:"growable/make_set+unite"
+  bench "growable/make_set+unite" @@ fun name ->
+  Test.make ~name
     (Staged.stage (fun () ->
          let g = Dsu.Growable.create ~capacity:4096 ~seed:37 () in
          let first = Dsu.Growable.make_set g in
@@ -269,7 +294,8 @@ let bench_growable =
          done))
 
 let bench_growable_unbounded =
-  Test.make ~name:"growable/unbounded"
+  bench "growable/unbounded" @@ fun name ->
+  Test.make ~name
     (Staged.stage (fun () ->
          let g = Dsu.Growable_unbounded.create ~chunk_size:256 ~seed:39 () in
          let first = Dsu.Growable_unbounded.make_set g in
@@ -309,33 +335,36 @@ let micro_indices seed =
   Array.init micro_batch (fun _ -> Rng.int rng n_medium)
 
 let bench_single_find =
+  bench "micro/find" @@ fun name ->
   let d = Dsu.Native.create ~seed:41 n_medium in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
   flatten_native d;
   let idx = micro_indices 47 in
-  Test.make ~name:"micro/find"
+  Test.make ~name
     (Staged.stage (fun () ->
          for k = 0 to micro_batch - 1 do
            ignore (Dsu.Native.find d (Array.unsafe_get idx k))
          done))
 
 let bench_single_find_padded =
+  bench "micro/find-padded" @@ fun name ->
   let d = Dsu.Native.create ~padded:true ~seed:41 n_medium in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
   flatten_native d;
   let idx = micro_indices 47 in
-  Test.make ~name:"micro/find-padded"
+  Test.make ~name
     (Staged.stage (fun () ->
          for k = 0 to micro_batch - 1 do
            ignore (Dsu.Native.find d (Array.unsafe_get idx k))
          done))
 
 let bench_single_same_set =
+  bench "micro/same_set" @@ fun name ->
   let d = Dsu.Native.create ~seed:53 n_medium in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 59));
   flatten_native d;
   let xs = micro_indices 61 and ys = micro_indices 67 in
-  Test.make ~name:"micro/same_set"
+  Test.make ~name
     (Staged.stage (fun () ->
          for k = 0 to micro_batch - 1 do
            ignore
@@ -345,13 +374,14 @@ let bench_single_same_set =
 (* Memory-order micro twin of micro/find: identical flattened structure and
    index stream, seq-cst parent loads. *)
 let bench_single_find_seqcst =
+  bench "micro/find-seqcst" @@ fun name ->
   let d =
     Dsu.Native.create ~memory_order:Dsu.Memory_order.Seq_cst ~seed:41 n_medium
   in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
   flatten_native d;
   let idx = micro_indices 47 in
-  Test.make ~name:"micro/find-seqcst"
+  Test.make ~name
     (Staged.stage (fun () ->
          for k = 0 to micro_batch - 1 do
            ignore (Dsu.Native.find d (Array.unsafe_get idx k))
@@ -380,15 +410,17 @@ let bulk_pairs count seed =
   (xs, ys)
 
 let bench_bulk_unite_batch =
+  bench "bulk/unite-batch" @@ fun name ->
   let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"bulk/unite-batch"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~seed:7 n_bulk in
          Dsu.Native.unite_batch d xs ys))
 
 let bench_bulk_unite_per_op =
+  bench "bulk/unite-per-op" @@ fun name ->
   let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"bulk/unite-per-op"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~seed:7 n_bulk in
          for k = 0 to bulk_unites - 1 do
@@ -399,19 +431,21 @@ let bench_bulk_unite_per_op =
    micro benches), so the measured work is the query walk itself —
    two root checks at random far-apart addresses per query. *)
 let bench_bulk_same_set_batch =
+  bench "bulk/same_set-batch" @@ fun name ->
   let d = Dsu.Native.create ~seed:53 n_bulk in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_bulk 59));
   flatten_native d;
   let xs, ys = bulk_pairs bulk_queries 91 in
-  Test.make ~name:"bulk/same_set-batch"
+  Test.make ~name
     (Staged.stage (fun () -> ignore (Dsu.Native.same_set_batch d xs ys)))
 
 let bench_bulk_same_set_per_op =
+  bench "bulk/same_set-per-op" @@ fun name ->
   let d = Dsu.Native.create ~seed:53 n_bulk in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_bulk 59));
   flatten_native d;
   let xs, ys = bulk_pairs bulk_queries 91 in
-  Test.make ~name:"bulk/same_set-per-op"
+  Test.make ~name
     (Staged.stage (fun () ->
          for k = 0 to bulk_queries - 1 do
            ignore
@@ -422,15 +456,17 @@ let bench_bulk_same_set_per_op =
    same-kind runs flushed through the bulk kernels) vs the plain array
    runner — what an application-level caller gains by batching. *)
 let bench_bulk_mixed_batched =
+  bench "bulk/mixed-batched" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"bulk/mixed-batched"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~seed:7 n_medium in
          Workload.Op.run_native_array_batched d ops))
 
 let bench_bulk_mixed_per_op =
+  bench "bulk/mixed-per-op" @@ fun name ->
   let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"bulk/mixed-per-op"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Native.create ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
@@ -440,8 +476,9 @@ let bench_bulk_mixed_per_op =
    streams.  The names keep their history: docs/PERFORMANCE.md records
    these against the retired two-array rank layout. *)
 let bench_packed_unite_pairs =
+  bench "packedrank/unite-packed" @@ fun name ->
   let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"packedrank/unite-packed"
+  Test.make ~name
     (Staged.stage (fun () ->
          let d = Dsu.Packed.Native.create n_bulk in
          for k = 0 to bulk_unites - 1 do
@@ -454,6 +491,7 @@ let bulk_find_indices seed =
   Array.init bulk_queries (fun _ -> Rng.int rng n_bulk)
 
 let bench_packed_find =
+  bench "packedrank/find-packed" @@ fun name ->
   let d = Dsu.Packed.Native.create n_bulk in
   let xs, ys = bulk_pairs bulk_unites 83 in
   for k = 0 to bulk_unites - 1 do
@@ -465,7 +503,7 @@ let bench_packed_find =
     done
   done;
   let idx = bulk_find_indices 97 in
-  Test.make ~name:"packedrank/find-packed"
+  Test.make ~name
     (Staged.stage (fun () ->
          for k = 0 to bulk_queries - 1 do
            ignore (Dsu.Packed.Native.find d (Array.unsafe_get idx k))
@@ -1116,7 +1154,9 @@ let run_connectivity_mode () =
 
 let run_bechamel () =
   let tests =
-    List.filter (fun t -> matches_filters (Test.name t)) (all_tests ())
+    List.filter_map
+      (fun (name, make) -> if matches_filters name then Some (make ()) else None)
+      (all_tests ())
   in
   if tests = [] then begin
     prerr_endline "no benchmark matches the given --filter";

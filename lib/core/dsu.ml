@@ -14,7 +14,10 @@
       histograms, CAS counters and trace events, armed globally via
       [Repro_obs.Metrics.set_enabled] / [Repro_obs.Trace.set_enabled].
     - {!Algorithm} — the functor over {!Memory_intf.S}, for embedding the
-      algorithm over a custom shared memory. *)
+      algorithm over a custom shared memory; the linking rule (random ids
+      or ranks) is a value fixed at its [create], so {!Native}, {!Packed},
+      {!Growable} and {!Sim} all run this one core over the same
+      [(rank, parent)] node word. *)
 
 module Find_policy = Find_policy
 module Memory_order = Memory_order
@@ -40,9 +43,10 @@ module Growable_unbounded = Growable_unbounded
 
 module Packed = Packed_dsu
 (** The concurrent linking-by-rank variant of Section 7, which needs no
-    independence assumption (see experiment E15): [(root flag, rank,
-    parent)] bit-packed into one word, supporting every {!Find_policy}
-    compaction rule; {!Packed.Sim} runs it in the APRAM simulator. *)
+    independence assumption (see experiment E15): the {!Native} handle
+    with [By_rank] linking, using the rank field of the [(rank, parent)]
+    node word, under every {!Find_policy} compaction rule; {!Packed.Sim}
+    runs it in the APRAM simulator. *)
 
 module Plan = Dsu_plan
 (** First-class configuration points of the plan space (linking rule x

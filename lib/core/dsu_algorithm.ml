@@ -10,16 +10,46 @@
       interleave the two finds and always step from the node with the
       smaller id.
 
-    Node ids are fixed uniformly at random at creation (randomized linking,
-    Section 3): [Unite] always links the root with the smaller id below the
-    root with the larger id, so every link is one [Cas] on one word and the
-    structure needs no rank or size fields.  Ids are immutable, so processes
-    read them from ordinary (non-shared-memory-step) storage.
+    The linking rule is a value fixed at [create] ({!linking}):
+
+    - [Random_ids prio] — the paper's randomized linking (Section 3): node
+      ids are fixed uniformly at random at creation and [Unite] always
+      links the root with the smaller id below the root with the larger
+      id.  Ids are immutable, so processes read them from ordinary
+      (non-shared-memory-step) storage, and every node's rank field stays
+      0: each cell holds exactly its node's parent index.
+    - [By_rank] — the Section 7 variant: the lower-ranked root is linked
+      below the higher, ties broken by node index, and the winner of a tie
+      is promoted by a separate best-effort CAS.  Needs no independence
+      assumption.
+
+    Either way a node's cell is one {!Word} — [(rank, parent)] — so
+    every link and splitting step is one [Cas] on one word.  The rule is
+    matched once per [Unite] round, never per hop: the find loops decode
+    the word and are shared by both rules.
 
     One deliberate deviation from the printed pseudocode: Algorithms 6 and 7
     perform the splitting [Cas(u.parent, z, w)] even when [z = w]; a [Cas]
     that would store the value already present is unobservable, so we skip
     it.  This only lowers constant factors and is noted in EXPERIMENTS.md. *)
+
+(* The node word; see the interface for the layout. *)
+module Word = struct
+  let parent_bits = 40
+  let rank_bits = 21
+  let max_nodes = 1 lsl parent_bits
+  let max_rank = (1 lsl rank_bits) - 1
+  let parent_mask = max_nodes - 1
+
+  let[@inline] parent_of_word w = w land parent_mask
+  let[@inline] rank_of_word w = w lsr parent_bits
+  let[@inline] word ~rank ~parent = (rank lsl parent_bits) lor parent
+  let[@inline] with_parent w parent = (w land lnot parent_mask) lor parent
+end
+
+open Word
+
+type linking = Random_ids of (int -> int) | By_rank
 
 module Make (M : Memory_intf.S) = struct
   module Backoff = Repro_util.Backoff
@@ -27,11 +57,12 @@ module Make (M : Memory_intf.S) = struct
   type t = {
     mem : M.t;
     n : int;
-    prio : int -> int;
-        (** [prio i] = node [i]'s position in the random total order.  Ties
-            are broken by node index, so priorities need not be distinct
-            (needed by the growable extension, where priorities are drawn
-            on the fly from a large universe). *)
+    linking : linking;
+        (** Under [Random_ids prio], [prio i] = node [i]'s position in the
+            random total order.  Ties are broken by node index, so
+            priorities need not be distinct (needed by the growable
+            extension, where priorities are drawn on the fly from a large
+            universe). *)
     policy : Find_policy.t;
     early : bool;
     backoff : bool;
@@ -45,22 +76,38 @@ module Make (M : Memory_intf.S) = struct
   }
 
   let create ?(policy = Find_policy.Two_try_splitting) ?(early = false)
-      ?(backoff = true) ?stats ?on_link ~mem ~n ~prio () =
-    if n < 1 then invalid_arg "Dsu_algorithm.create: n must be >= 1";
-    { mem; n; prio; policy; early; backoff; stats; on_link }
+      ?(backoff = true) ?stats ?on_link ~mem ~n ~linking () =
+    if n < 1 || n > max_nodes then
+      invalid_arg
+        (Printf.sprintf
+           "Dsu_algorithm.create: n must be in [1, 2^%d] (parent field is %d \
+            bits)"
+           parent_bits parent_bits);
+    (match linking with
+    | By_rank when early ->
+      invalid_arg "Dsu_algorithm.create: early termination needs random ids"
+    | Random_ids _ | By_rank -> ());
+    { mem; n; linking; policy; early; backoff; stats; on_link }
 
   let n t = t.n
   let mem t = t.mem
+  let linking t = t.linking
   let policy t = t.policy
   let early t = t.early
   let backoff t = t.backoff
   let stats t = t.stats
 
-  let id t i = t.prio i
-
-  let less t u v =
-    let pu = t.prio u and pv = t.prio v in
+  (* The linking order: priority (or rank), then node index. *)
+  let[@inline] less (prio : int -> int) u v =
+    let pu = prio u and pv = prio v in
     pu < pv || (pu = pv && u < v)
+
+  (* The random order the early-termination loops step by; [create]
+     rejects [~early:true] under [By_rank]. *)
+  let random_prio t =
+    match t.linking with
+    | Random_ids prio -> prio
+    | By_rank -> invalid_arg "Dsu_algorithm: early termination needs random ids"
 
   let bump t f = match t.stats with None -> () | Some s -> f s
 
@@ -101,17 +148,29 @@ module Make (M : Memory_intf.S) = struct
   let[@inline] fault_split_post () =
     if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Split_cas_post
 
+  let[@inline] fault_rank_read () =
+    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Rank_read
+
   let[@inline] fault_link_pre () =
     if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Link_cas_pre
 
   let[@inline] fault_link_post () =
     if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Link_cas_post
 
-  (* Algorithm 1: Find without compaction. *)
+  (* Counts every outer round after the first as a retry. *)
+  let[@inline] count_retry t ~first =
+    if not first then begin
+      bump t Dsu_stats.incr_outer_retry;
+      if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
+    end
+
+  (* Algorithm 1: Find without compaction.  Every loop reads whole words
+     and decodes the parent field; a node is a root iff that field is the
+     node itself. *)
   let find_no_compaction t x =
     let rec loop u =
       bump t Dsu_stats.incr_find_iter;
-      let p = M.read t.mem u in
+      let p = parent_of_word (M.read t.mem u) in
       if p = u then u else loop p
     in
     loop x
@@ -121,7 +180,7 @@ module Make (M : Memory_intf.S) = struct
       bump t Dsu_stats.incr_find_iter;
       Dsu_obs.on_find_iter ();
       fault_hop ();
-      let p = M.read t.mem u in
+      let p = parent_of_word (M.read t.mem u) in
       if p = u then u else loop p
     in
     loop x
@@ -129,16 +188,18 @@ module Make (M : Memory_intf.S) = struct
   (* Algorithm 4: Find with one-try splitting.  The splitting update is a
      {e weak} CAS: Algorithm 4 already tolerates a failed try (it advances
      regardless), so a spurious failure is indistinguishable from losing a
-     race and the semantics are unchanged.  Same in every splitting CAS
-     below. *)
+     race and the semantics are unchanged.  It expects the whole word read
+     and keeps its rank bits (a non-root's rank never changes).  Same in
+     every splitting CAS below. *)
   let find_one_try t x =
     let rec loop u =
       bump t Dsu_stats.incr_find_iter;
-      let v = M.read t.mem u in
-      let w = M.read t.mem v in
+      let wu = M.read t.mem u in
+      let v = parent_of_word wu in
+      let w = parent_of_word (M.read t.mem v) in
       if v = w then v
       else begin
-        let ok = M.cas_weak t.mem u v w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
         loop v
       end
@@ -150,13 +211,14 @@ module Make (M : Memory_intf.S) = struct
       bump t Dsu_stats.incr_find_iter;
       Dsu_obs.on_find_iter ();
       fault_hop ();
-      let v = M.read t.mem u in
+      let wu = M.read t.mem u in
+      let v = parent_of_word wu in
       fault_gap ();
-      let w = M.read t.mem v in
+      let w = parent_of_word (M.read t.mem v) in
       if v = w then v
       else begin
         fault_split_pre ();
-        let ok = M.cas_weak t.mem u v w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
@@ -171,17 +233,19 @@ module Make (M : Memory_intf.S) = struct
   let find_two_try t x =
     let rec loop u =
       bump t Dsu_stats.incr_find_iter;
-      let v = M.read t.mem u in
-      let w = M.read t.mem v in
+      let wu = M.read t.mem u in
+      let v = parent_of_word wu in
+      let w = parent_of_word (M.read t.mem v) in
       if v = w then v
       else begin
-        let ok = M.cas_weak t.mem u v w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
-        let v2 = M.read t.mem u in
-        let w2 = M.read t.mem v2 in
+        let wu2 = M.read t.mem u in
+        let v2 = parent_of_word wu2 in
+        let w2 = parent_of_word (M.read t.mem v2) in
         if v2 = w2 then v2
         else begin
-          let ok2 = M.cas_weak t.mem u v2 w2 in
+          let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
           bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
           loop v2
         end
@@ -194,23 +258,25 @@ module Make (M : Memory_intf.S) = struct
       bump t Dsu_stats.incr_find_iter;
       Dsu_obs.on_find_iter ();
       fault_hop ();
-      let v = M.read t.mem u in
+      let wu = M.read t.mem u in
+      let v = parent_of_word wu in
       fault_gap ();
-      let w = M.read t.mem v in
+      let w = parent_of_word (M.read t.mem v) in
       if v = w then v
       else begin
         fault_split_pre ();
-        let ok = M.cas_weak t.mem u v w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
-        let v2 = M.read t.mem u in
+        let wu2 = M.read t.mem u in
+        let v2 = parent_of_word wu2 in
         fault_gap ();
-        let w2 = M.read t.mem v2 in
+        let w2 = parent_of_word (M.read t.mem v2) in
         if v2 = w2 then v2
         else begin
           fault_split_pre ();
-          let ok2 = M.cas_weak t.mem u v2 w2 in
+          let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
           bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
           Dsu_obs.on_compaction_cas ~node:u ~ok:ok2;
           fault_split_post ();
@@ -230,13 +296,14 @@ module Make (M : Memory_intf.S) = struct
   let find_halving t x =
     let rec loop u =
       bump t Dsu_stats.incr_find_iter;
-      let v = M.read t.mem u in
+      let wu = M.read t.mem u in
+      let v = parent_of_word wu in
       if v = u then u
       else begin
-        let w = M.read t.mem v in
+        let w = parent_of_word (M.read t.mem v) in
         if v = w then v
         else begin
-          let ok = M.cas_weak t.mem u v w in
+          let ok = M.cas_weak t.mem u wu (with_parent wu w) in
           bump t (Dsu_stats.incr_compaction_cas ~ok);
           loop w
         end
@@ -249,15 +316,16 @@ module Make (M : Memory_intf.S) = struct
       bump t Dsu_stats.incr_find_iter;
       Dsu_obs.on_find_iter ();
       fault_hop ();
-      let v = M.read t.mem u in
+      let wu = M.read t.mem u in
+      let v = parent_of_word wu in
       if v = u then u
       else begin
         fault_gap ();
-        let w = M.read t.mem v in
+        let w = parent_of_word (M.read t.mem v) in
         if v = w then v
         else begin
           fault_split_pre ();
-          let ok = M.cas_weak t.mem u v w in
+          let ok = M.cas_weak t.mem u wu (with_parent wu w) in
           bump t (Dsu_stats.incr_compaction_cas ~ok);
           Dsu_obs.on_compaction_cas ~node:u ~ok;
           fault_split_post ();
@@ -268,8 +336,8 @@ module Make (M : Memory_intf.S) = struct
     loop x
 
   (* Concurrent two-pass compression (Section 6 conjecture).  Pass one walks
-     to the current root recording each (node, observed parent) pair; pass
-     two Cas-es each node's parent from the recorded value to the found
+     to the current root recording each (node, observed word) pair; pass
+     two Cas-es each node's parent from the recorded word to the found
      root.  Because the root found in pass one is an ancestor (in the union
      forest) of every recorded parent, every successful Cas replaces a
      parent by a proper ancestor, exactly the invariant Lemma 3.1 needs; a
@@ -278,14 +346,15 @@ module Make (M : Memory_intf.S) = struct
   let find_compression t x =
     let rec walk u acc =
       bump t Dsu_stats.incr_find_iter;
-      let p = M.read t.mem u in
-      if p = u then (u, acc) else walk p ((u, p) :: acc)
+      let w = M.read t.mem u in
+      let p = parent_of_word w in
+      if p = u then (u, acc) else walk p ((u, w) :: acc)
     in
     let root, path = walk x [] in
     List.iter
-      (fun (u, observed_parent) ->
-        if observed_parent <> root then begin
-          let ok = M.cas_weak t.mem u observed_parent root in
+      (fun (u, wu) ->
+        if parent_of_word wu <> root then begin
+          let ok = M.cas_weak t.mem u wu (with_parent wu root) in
           bump t (Dsu_stats.incr_compaction_cas ~ok)
         end)
       path;
@@ -296,15 +365,16 @@ module Make (M : Memory_intf.S) = struct
       bump t Dsu_stats.incr_find_iter;
       Dsu_obs.on_find_iter ();
       fault_hop ();
-      let p = M.read t.mem u in
-      if p = u then (u, acc) else walk p ((u, p) :: acc)
+      let w = M.read t.mem u in
+      let p = parent_of_word w in
+      if p = u then (u, acc) else walk p ((u, w) :: acc)
     in
     let root, path = walk x [] in
     List.iter
-      (fun (u, observed_parent) ->
-        if observed_parent <> root then begin
+      (fun (u, wu) ->
+        if parent_of_word wu <> root then begin
           fault_split_pre ();
-          let ok = M.cas_weak t.mem u observed_parent root in
+          let ok = M.cas_weak t.mem u wu (with_parent wu root) in
           bump t (Dsu_stats.incr_compaction_cas ~ok);
           Dsu_obs.on_compaction_cas ~node:u ~ok;
           fault_split_post ()
@@ -342,63 +412,66 @@ module Make (M : Memory_intf.S) = struct
     check_node t x;
     find_root t x
 
-  (* One early-termination step from node [u] (Algorithms 6 and 7, lines
-     7-11): advance [u] one hop along its find path, doing the splitting
-     [Cas] once or twice according to the policy.  [z], the parent of [u]
-     already read by the caller's root test, is reused rather than re-read —
-     the printed pseudocode reads it twice; merging the reads only removes a
-     redundant access (noted in EXPERIMENTS.md).  Returns the new [u]. *)
-  let early_step t u z =
+  (* One early-termination step from node [u] whose word [wu] the caller's
+     root test just read (Algorithms 6 and 7, lines 7-11): advance [u] one
+     hop along its find path, doing the splitting [Cas] once or twice
+     according to the policy.  Reusing [wu] rather than re-reading it —
+     the printed pseudocode reads it twice — only removes a redundant
+     access (noted in EXPERIMENTS.md).  Returns the new [u]. *)
+  let early_step t u wu =
     bump t Dsu_stats.incr_find_iter;
+    let z = parent_of_word wu in
     match t.policy with
     | Find_policy.No_compaction | Find_policy.Compression ->
       (* Full compression needs a complete find path, which the interleaved
          early-termination walk never has; its steps are plain hops. *)
       z
     | Find_policy.One_try_splitting ->
-      let w = M.read t.mem z in
+      let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
-        let ok = M.cas_weak t.mem u z w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok)
       end;
       z
     | Find_policy.Halving ->
       (* Same CAS as one-try, but advance to the grandparent — still an
          ancestor of [u], so the early-termination invariant holds. *)
-      let w = M.read t.mem z in
+      let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
-        let ok = M.cas_weak t.mem u z w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
         w
       end
       else z
     | Find_policy.Two_try_splitting ->
-      let w = M.read t.mem z in
+      let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
-        let ok = M.cas_weak t.mem u z w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
-        let z2 = M.read t.mem u in
-        let w2 = M.read t.mem z2 in
+        let wu2 = M.read t.mem u in
+        let z2 = parent_of_word wu2 in
+        let w2 = parent_of_word (M.read t.mem z2) in
         if z2 <> w2 then begin
-          let ok2 = M.cas_weak t.mem u z2 w2 in
+          let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
           bump t (Dsu_stats.incr_compaction_cas ~ok:ok2)
         end;
         z2
       end
       else z
 
-  let early_step_obs t u z =
+  let early_step_obs t u wu =
     bump t Dsu_stats.incr_find_iter;
     Dsu_obs.on_find_iter ();
     fault_hop ();
+    let z = parent_of_word wu in
     match t.policy with
     | Find_policy.No_compaction | Find_policy.Compression -> z
     | Find_policy.One_try_splitting ->
       fault_gap ();
-      let w = M.read t.mem z in
+      let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
         fault_split_pre ();
-        let ok = M.cas_weak t.mem u z w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ()
@@ -406,10 +479,10 @@ module Make (M : Memory_intf.S) = struct
       z
     | Find_policy.Halving ->
       fault_gap ();
-      let w = M.read t.mem z in
+      let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
         fault_split_pre ();
-        let ok = M.cas_weak t.mem u z w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
@@ -418,19 +491,20 @@ module Make (M : Memory_intf.S) = struct
       else z
     | Find_policy.Two_try_splitting ->
       fault_gap ();
-      let w = M.read t.mem z in
+      let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
         fault_split_pre ();
-        let ok = M.cas_weak t.mem u z w in
+        let ok = M.cas_weak t.mem u wu (with_parent wu w) in
         bump t (Dsu_stats.incr_compaction_cas ~ok);
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
-        let z2 = M.read t.mem u in
+        let wu2 = M.read t.mem u in
+        let z2 = parent_of_word wu2 in
         fault_gap ();
-        let w2 = M.read t.mem z2 in
+        let w2 = parent_of_word (M.read t.mem z2) in
         if z2 <> w2 then begin
           fault_split_pre ();
-          let ok2 = M.cas_weak t.mem u z2 w2 in
+          let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
           bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
           Dsu_obs.on_compaction_cas ~node:u ~ok:ok2;
           fault_split_post ()
@@ -442,14 +516,11 @@ module Make (M : Memory_intf.S) = struct
   (* Algorithm 2: SameSet via two complete finds per round. *)
   let same_set_plain t x y =
     let rec loop u v ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
+      count_retry t ~first;
       let u = find_root t u in
       let v = find_root t v in
       if u = v then true
-      else if M.read t.mem u = u then false
+      else if parent_of_word (M.read t.mem u) = u then false
       else loop u v ~first:false
     in
     loop x y ~first:true
@@ -458,21 +529,19 @@ module Make (M : Memory_intf.S) = struct
      smaller of the two current nodes; answer as soon as the smaller one is
      a root. *)
   let same_set_early t x y =
+    let prio = random_prio t in
     let rec loop u v ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
+      count_retry t ~first;
       if u = v then true
       else begin
-        let u, v = if less t v u then (v, u) else (u, v) in
-        let z = M.read t.mem u in
-        if z = u then false
+        let u, v = if less prio v u then (v, u) else (u, v) in
+        let wu = M.read t.mem u in
+        if parent_of_word wu = u then false
         else begin
           let u =
             if Atomic.get Dsu_obs.armed || Atomic.get Fi.armed then
-              early_step_obs t u z
-            else early_step t u z
+              early_step_obs t u wu
+            else early_step t u wu
           in
           loop u v ~first:false
         end
@@ -480,41 +549,71 @@ module Make (M : Memory_intf.S) = struct
     in
     loop x y ~first:true
 
-  (* Algorithm 3: Unite via two complete finds per round; link the root with
-     the smaller id below the other with one Cas.  The link CAS stays
-     {e strong} (a reported failure must mean a real conflict) because a
-     failure triggers the bounded exponential backoff: another domain just
-     linked the same root, so an immediate retry mostly re-collides.  The
-     spin count [spins] is threaded as an unboxed loop argument. *)
-  let unite_plain t x y =
+  (* The link CAS: swing root [child]'s word [expected] to point at
+     [parent], keeping its rank.  It stays {e strong} (a reported failure
+     must mean a real conflict) because a failure triggers the bounded
+     exponential backoff: another domain just linked the same root, so an
+     immediate retry mostly re-collides. *)
+  let[@inline] link t child expected parent =
+    fault_link_pre ();
+    let ok = M.cas t.mem child expected (with_parent expected parent) in
+    bump t (Dsu_stats.incr_link_cas ~ok);
+    if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:child ~ok;
+    fault_link_post ();
+    if ok then record_link t ~child ~parent;
+    ok
+
+  let[@inline] after_failed_link t spins =
+    if t.backoff then Backoff.once spins else spins
+
+  (* Algorithm 3: Unite via two complete finds per round, then one link
+     CAS.  Returns a common ancestor of [x] and [y] once they are in one
+     set (the link target on success, the shared root when already
+     joined) — the bulk kernels cache it.  The spin count [spins] is
+     threaded as an unboxed loop argument.
+
+     - [Random_ids]: link the root with the smaller id below the other.
+       A root's word is its own index (rank 0), which the CAS expects.
+     - [By_rank]: read both root words, re-check that each is still a
+       root, and link the lower (rank, index) below the higher with a CAS
+       that expects the whole word, so a stale rank read only costs a
+       retry.  On a rank tie the winner's promotion is a separate
+       best-effort CAS (losing it means someone else promoted or linked
+       the winner first, both fine). *)
+  let unite_rounds t x y =
     let rec loop u v spins ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
+      count_retry t ~first;
       let u = find_root t u in
       let v = find_root t v in
-      if u = v then ()
-      else if less t u v then begin
-        fault_link_pre ();
-        let ok = M.cas t.mem u u v in
-        bump t (Dsu_stats.incr_link_cas ~ok);
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:u ~ok;
-        fault_link_post ();
-        if ok then record_link t ~child:u ~parent:v
-        else
-          loop u v (if t.backoff then Backoff.once spins else spins) ~first:false
-      end
-      else begin
-        fault_link_pre ();
-        let ok = M.cas t.mem v v u in
-        bump t (Dsu_stats.incr_link_cas ~ok);
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:v ~ok;
-        fault_link_post ();
-        if ok then record_link t ~child:v ~parent:u
-        else
-          loop u v (if t.backoff then Backoff.once spins else spins) ~first:false
-      end
+      if u = v then u
+      else
+        match t.linking with
+        | Random_ids prio ->
+          let child = if less prio u v then u else v in
+          let parent = if child = u then v else u in
+          if link t child child parent then parent
+          else loop u v (after_failed_link t spins) ~first:false
+        | By_rank ->
+          let wu = M.read t.mem u in
+          let wv = M.read t.mem v in
+          fault_rank_read ();
+          if parent_of_word wu <> u || parent_of_word wv <> v then
+            loop u v spins ~first:false
+          else begin
+            let ru = rank_of_word wu and rv = rank_of_word wv in
+            let u_below = ru < rv || (ru = rv && u < v) in
+            let child = if u_below then u else v in
+            let parent = if u_below then v else u in
+            if link t child (if u_below then wu else wv) parent then begin
+              if ru = rv then begin
+                let wp = if u_below then wv else wu in
+                ignore
+                  (M.cas t.mem parent wp (word ~rank:(rv + 1) ~parent))
+              end;
+              parent
+            end
+            else loop u v (after_failed_link t spins) ~first:false
+          end
     in
     loop x y Backoff.initial ~first:true
 
@@ -524,33 +623,23 @@ module Make (M : Memory_intf.S) = struct
      a root and saves a wasted Cas when it is not (the Cas still re-verifies
      rootness atomically, so correctness is unchanged). *)
   let unite_early t x y =
+    let prio = random_prio t in
     let rec loop u v spins ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
+      count_retry t ~first;
       if u = v then ()
       else begin
-        let u, v = if less t v u then (v, u) else (u, v) in
-        let z = M.read t.mem u in
-        if z = u then begin
-          fault_link_pre ();
-          let ok = M.cas t.mem u u v in
-          bump t (Dsu_stats.incr_link_cas ~ok);
-          if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:u ~ok;
-          fault_link_post ();
-          if ok then record_link t ~child:u ~parent:v
-          else
+        let u, v = if less prio v u then (v, u) else (u, v) in
+        let wu = M.read t.mem u in
+        if parent_of_word wu = u then begin
+          if not (link t u wu v) then
             (* Only a failed link CAS backs off; early steps are progress. *)
-            loop u v
-              (if t.backoff then Backoff.once spins else spins)
-              ~first:false
+            loop u v (after_failed_link t spins) ~first:false
         end
         else begin
           let u =
             if Atomic.get Dsu_obs.armed || Atomic.get Fi.armed then
-              early_step_obs t u z
-            else early_step t u z
+              early_step_obs t u wu
+            else early_step t u wu
           in
           loop u v spins ~first:false
         end
@@ -568,7 +657,7 @@ module Make (M : Memory_intf.S) = struct
     check_node t x;
     check_node t y;
     bump t Dsu_stats.incr_unite;
-    if t.early then unite_early t x y else unite_plain t x y
+    if t.early then unite_early t x y else ignore (unite_rounds t x y)
 
   (* ------------------------------------------------------ bulk kernels *)
 
@@ -577,12 +666,14 @@ module Make (M : Memory_intf.S) = struct
 
      - {b root cache}: a direct-mapped table mapping a recently seen node
        to a recently observed {e ancestor} of it.  Soundness: parents only
-       ever move to proper ancestors (Lemma 3.1), so once [a] is an
-       ancestor of [x] it stays one forever — [find_root] from the cached
-       ancestor lands on exactly the current root of [x]'s tree, and a
-       unite from the cached ancestors unites [x]'s and [y]'s sets.  The
-       cache lives on the calling domain's stack (allocated per call), so
-       it is per-domain by construction and never contended.
+       ever move to proper ancestors (Lemma 3.1; under rank linking too —
+       splitting, halving and compression swing to grandparents or the
+       observed root, links point a root at another root), so once [a] is
+       an ancestor of [x] it stays one forever — [find_root] from the
+       cached ancestor lands on exactly the current root of [x]'s tree,
+       and a unite from the cached ancestors unites [x]'s and [y]'s sets.
+       The cache lives on the calling domain's stack (allocated per call),
+       so it is per-domain by construction and never contended.
      - {b prefetching}: the parent cells of the pair [prefetch_dist]
        slots ahead are prefetched before the current pair is processed.
        Prefetch is a pure hint, so issuing it before the ahead-pair is
@@ -597,34 +688,6 @@ module Make (M : Memory_intf.S) = struct
   let cache_size = 1 lsl cache_bits
   let cache_mask = cache_size - 1
   let prefetch_dist = 8
-
-  (* Returns a common ancestor of [u] and [v] once they are in one set
-     (the link target on success, the shared root when already joined). *)
-  let settle_unite t u v =
-    let rec loop u v spins ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
-      let u = find_root t u in
-      let v = find_root t v in
-      if u = v then u
-      else begin
-        let child, parent = if less t u v then (u, v) else (v, u) in
-        fault_link_pre ();
-        let ok = M.cas t.mem child child parent in
-        bump t (Dsu_stats.incr_link_cas ~ok);
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:child ~ok;
-        fault_link_post ();
-        if ok then begin
-          record_link t ~child ~parent;
-          parent
-        end
-        else
-          loop u v (if t.backoff then Backoff.once spins else spins) ~first:false
-      end
-    in
-    loop u v Backoff.initial ~first:true
 
   let check_batch t op xs ys =
     let len = Array.length xs in
@@ -655,7 +718,7 @@ module Make (M : Memory_intf.S) = struct
       end;
       let x = Array.unsafe_get xs k and y = Array.unsafe_get ys k in
       bump t Dsu_stats.incr_unite;
-      let a = settle_unite t (cache_hint keys anc x) (cache_hint keys anc y) in
+      let a = unite_rounds t (cache_hint keys anc x) (cache_hint keys anc y) in
       cache_store keys anc x a;
       cache_store keys anc y a
     done
@@ -673,10 +736,7 @@ module Make (M : Memory_intf.S) = struct
       bump t Dsu_stats.incr_same_set;
       (* Algorithm 2's rounds, started from the cached ancestors. *)
       let rec loop u v ~first =
-        if not first then begin
-          bump t Dsu_stats.incr_outer_retry;
-          if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-        end;
+        count_retry t ~first;
         let u = find_root t u in
         let v = find_root t v in
         if u = v then begin
@@ -684,7 +744,7 @@ module Make (M : Memory_intf.S) = struct
           cache_store keys anc y u;
           true
         end
-        else if M.read t.mem u = u then begin
+        else if parent_of_word (M.read t.mem u) = u then begin
           (* [u]/[v] are (ancestors of) the two distinct roots observed;
              both remain ancestors of their endpoints forever. *)
           cache_store keys anc x u;
@@ -721,24 +781,36 @@ module Make (M : Memory_intf.S) = struct
 
   let parent_of t x =
     check_node t x;
-    M.read t.mem x
+    parent_of_word (M.read t.mem x)
 
   let is_root t x = parent_of t x = x
+
+  (* A node's key in the linking order: its random priority, or its
+     current rank. *)
+  let key t i =
+    match t.linking with
+    | Random_ids prio -> prio i
+    | By_rank -> rank_of_word (M.read t.mem i)
+
+  let id t x =
+    check_node t x;
+    key t x
 
   let count_sets t =
     let c = ref 0 in
     for i = 0 to t.n - 1 do
-      if M.read t.mem i = i then incr c
+      if parent_of_word (M.read t.mem i) = i then incr c
     done;
     !c
 
-  (* The id-monotonicity invariant of Lemma 3.1: every non-root points to a
-     node with a strictly larger id. *)
+  (* The order-monotonicity invariant of Lemma 3.1 (and its by-rank
+     analogue): every non-root points to a node with a strictly larger
+     key, ties broken by node index. *)
   let invariant_violations t =
     let acc = ref [] in
     for i = t.n - 1 downto 0 do
-      let p = M.read t.mem i in
-      if p <> i && not (less t i p) then acc := (i, p) :: !acc
+      let p = parent_of_word (M.read t.mem i) in
+      if p <> i && not (less (key t) i p) then acc := (i, p) :: !acc
     done;
     !acc
 end

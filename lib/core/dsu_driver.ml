@@ -35,43 +35,26 @@ let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false) n =
   let policy = plan.Dsu_plan.compaction in
   let backoff = plan.Dsu_plan.backoff in
   let memory_order = plan.Dsu_plan.memory_order in
-  match plan.Dsu_plan.layout with
-  | Dsu_plan.Flat | Dsu_plan.Padded ->
-    let padded = plan.Dsu_plan.layout = Dsu_plan.Padded in
-    let d =
+  let d =
+    match plan.Dsu_plan.layout with
+    | Dsu_plan.Flat | Dsu_plan.Padded ->
       Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ~seed
-        ~padded n
-    in
-    {
-      n;
-      plan;
-      find = Dsu_native.find d;
-      same_set = Dsu_native.same_set d;
-      unite = Dsu_native.unite d;
-      unite_batch = Dsu_native.unite_batch d;
-      same_set_batch = Dsu_native.same_set_batch d;
-      find_batch = Dsu_native.find_batch d;
-      count_sets = (fun () -> Dsu_native.count_sets d);
-      parents_snapshot = (fun () -> Dsu_native.parents_snapshot d);
-      stats =
-        (fun () -> if collect_stats then Some (Dsu_native.stats d) else None);
-    }
-  | Dsu_plan.Packed ->
-    let d =
+        ~padded:(plan.Dsu_plan.layout = Dsu_plan.Padded)
+        n
+    | Dsu_plan.Packed ->
       Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats n
-    in
-    {
-      n;
-      plan;
-      find = Packed_dsu.Native.find d;
-      same_set = Packed_dsu.Native.same_set d;
-      unite = Packed_dsu.Native.unite d;
-      unite_batch = Packed_dsu.Native.unite_batch d;
-      same_set_batch = Packed_dsu.Native.same_set_batch d;
-      find_batch = Packed_dsu.Native.find_batch d;
-      count_sets = (fun () -> Packed_dsu.Native.count_sets d);
-      parents_snapshot = (fun () -> Packed_dsu.Native.parents_snapshot d);
-      stats =
-        (fun () ->
-          if collect_stats then Some (Packed_dsu.Native.stats d) else None);
-    }
+  in
+  {
+    n;
+    plan;
+    find = Dsu_native.find d;
+    same_set = Dsu_native.same_set d;
+    unite = Dsu_native.unite d;
+    unite_batch = Dsu_native.unite_batch d;
+    same_set_batch = Dsu_native.same_set_batch d;
+    find_batch = Dsu_native.find_batch d;
+    count_sets = (fun () -> Dsu_native.count_sets d);
+    parents_snapshot = (fun () -> Dsu_native.parents_snapshot d);
+    stats =
+      (fun () -> if collect_stats then Some (Dsu_native.stats d) else None);
+  }

@@ -11,8 +11,13 @@ type t = A.t
    randomized-linking analysis). *)
 let self_seed = Atomic.make 0x4d595df4d0f33173
 
-let create ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
-    ?on_link ?seed ?(padded = false) n =
+let of_memory ?policy ?early ?backoff ?(collect_stats = false) ?on_link
+    ~linking ~n mem =
+  let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
+  A.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n ~linking ()
+
+let create ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link ?seed
+    ?(padded = false) n =
   if n < 1 then invalid_arg "Dsu_native.create: n must be >= 1";
   let seed =
     match seed with
@@ -20,11 +25,10 @@ let create ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
     | None -> 1 + Atomic.fetch_and_add self_seed 1
   in
   let ids = Rng.permutation (Rng.create seed) n in
-  let mem = Native_memory.make ~padded ?order:memory_order n (fun i -> i) in
-  let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
-  A.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n
-    ~prio:(fun i -> ids.(i))
-    ()
+  of_memory ?policy ?early ?backoff ?collect_stats ?on_link
+    ~linking:(Dsu_algorithm.Random_ids (fun i -> ids.(i)))
+    ~n
+    (Native_memory.make ~padded ?order:memory_order n (fun i -> i))
 
 let n = A.n
 
@@ -87,7 +91,8 @@ let invariant_violations = A.invariant_violations
 let memory_order t = Native_memory.order (A.mem t)
 
 let parents_snapshot t =
-  Flat_atomic_array.snapshot (A.mem t).Native_memory.arr
+  Array.map Dsu_algorithm.Word.parent_of_word
+    (Flat_atomic_array.snapshot (A.mem t).Native_memory.arr)
 
 let sets t =
   let size = A.n t in
@@ -112,19 +117,27 @@ let ids_snapshot t = Array.init (A.n t) (fun i -> A.id t i)
    each preceded by a [Snapshot_read] fault site so chaos can crash a
    snapshotter mid-scan.  Sound by Lemma 3.1: parents only ever move to
    proper ancestors, so every scanned edge was a real ancestor edge at the
-   instant its cell was read.  The ids are immutable and need no care. *)
+   instant its cell was read.  Random ids are immutable and need no care;
+   a rank comes from the same word read as its parent, so each node's
+   (parent, rank) pair is internally consistent. *)
 module Fi = Repro_fault.Inject
 
 let snapshot_fuzzy t =
   let arr = (A.mem t).Native_memory.arr in
-  let parents =
-    Array.init (A.n t) (fun i ->
-        if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Snapshot_read;
-        Flat_atomic_array.get_acquire arr i)
-  in
-  (parents, ids_snapshot t)
+  let n = A.n t in
+  let parents = Array.make n 0 and keys = Array.make n 0 in
+  for i = 0 to n - 1 do
+    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Snapshot_read;
+    let w = Flat_atomic_array.get_acquire arr i in
+    parents.(i) <- Dsu_algorithm.Word.parent_of_word w;
+    keys.(i) <-
+      (match A.linking t with
+      | Dsu_algorithm.Random_ids prio -> prio i
+      | Dsu_algorithm.By_rank -> Dsu_algorithm.Word.rank_of_word w)
+  done;
+  (parents, keys)
 
-let restore ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
+let restore ?policy ?early ?backoff ?memory_order ?collect_stats
     ?on_link ?(padded = false) (s : snapshot) =
   let n = Array.length s.parents in
   if n < 1 || Array.length s.ids <> n then
@@ -143,11 +156,10 @@ let restore ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
       if p <> i && ids.(p) <= ids.(i) then
         invalid_arg "Dsu_native.restore: parents violate the linking order")
     s.parents;
-  let mem =
-    Native_memory.make ~padded ?order:memory_order n (fun i -> s.parents.(i))
-  in
-  let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
-  A.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n ~prio:(fun i -> ids.(i)) ()
+  of_memory ?policy ?early ?backoff ?collect_stats ?on_link
+    ~linking:(Dsu_algorithm.Random_ids (fun i -> ids.(i)))
+    ~n
+    (Native_memory.make ~padded ?order:memory_order n (fun i -> s.parents.(i)))
 
 let of_snapshot ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link
     ?padded ~parents ~ids () =

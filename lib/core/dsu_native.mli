@@ -1,8 +1,10 @@
 (** Concurrent disjoint set union over OCaml 5 domains.
 
     This is the main user-facing module: the paper's wait-free, linearizable
-    randomized-linking DSU instantiated on [Atomic]-backed shared memory.
-    All operations may be called concurrently from any number of domains.
+    randomized-linking DSU instantiated on {!Native_memory} (one flat word
+    per node).  All operations may be called concurrently from any number
+    of domains.  The same handle, under rank linking, is
+    {!Packed_dsu.Native}: only the constructors differ.
 
     {1 Quick start}
 
@@ -49,6 +51,20 @@ val create :
     - [padded] gives each parent word its own cache line (8x memory) —
       the false-sharing ablation knob; see docs/PERFORMANCE.md. *)
 
+val of_memory :
+  ?policy:Find_policy.t ->
+  ?early:bool ->
+  ?backoff:bool ->
+  ?collect_stats:bool ->
+  ?on_link:(child:int -> parent:int -> unit) ->
+  linking:Dsu_algorithm.linking ->
+  n:int ->
+  Native_memory.t ->
+  t
+(** The constructor under {!create}, {!restore} and {!Packed_dsu.Native}:
+    wraps a prepared memory whose cell [i] holds node [i]'s
+    {!Dsu_algorithm.Word}. *)
+
 val n : t -> int
 
 val same_set : t -> int -> int -> bool
@@ -87,7 +103,8 @@ val memory_order : t -> Memory_order.t
 (** The parent-load ordering mode this structure was created with. *)
 
 val id : t -> int -> int
-(** The node's position in the random total order (the linking priority). *)
+(** The node's position in the random total order (the linking priority);
+    its current rank under rank linking. *)
 
 val parent_of : t -> int -> int
 val is_root : t -> int -> bool
@@ -111,8 +128,9 @@ val ids_snapshot : t -> int array
 (** The random node order as an array ([ids_snapshot t].(i) = [id t i]). *)
 
 val snapshot_fuzzy : t -> int array * int array
-(** [(parents, ids)] from a {e fuzzy} (non-quiescent) scan: per-cell
-    acquire loads racing the mutators.  Lemma 3.1's ancestor monotonicity
+(** [(parents, ids)] ([(parents, ranks)] under rank linking) from a
+    {e fuzzy} (non-quiescent) scan: per-cell acquire loads racing the
+    mutators, one word read per node.  Lemma 3.1's ancestor monotonicity
     makes any such cut a valid forest — every scanned edge existed at the
     instant its cell was read, so the cut refines the final partition and
     still satisfies the linking order.  Each cell read is preceded by a

@@ -13,10 +13,13 @@
 
     - [Random_id] linking (the paper's randomized algorithm) runs over
       the [Flat] and [Padded] layouts;
-    - [By_rank] linking runs over the [Packed] single-word layout;
-    - [By_size] linking names the remaining cell of the Alistarh et al.
-      grid but has no concurrent implementation here yet — always
-      invalid, with a saying-so error.
+    - [By_rank] linking runs over the [Packed] layout.
+
+    Both run the one algorithm core ({!Dsu_algorithm.Make}) over the same
+    node word; the layout name [packed] records that its rank field is in
+    use.  By-size linking, the remaining cell of the Alistarh et al. grid,
+    has no concurrent implementation here, so [size] is not a linking
+    rule the spec accepts.
 
     The spec syntax, shared by [bench --plan] and [dsu_workload --plan],
     is five colon-separated fields:
@@ -25,19 +28,13 @@
        e.g.  rand:two-try:relaxed-reads:on:flat
              rank:halving:acquire:off:packed v} *)
 
-type linking = Random_id | By_rank | By_size
+type linking = Random_id | By_rank
 
-let all_linkings = [ Random_id; By_rank; By_size ]
-
-let linking_to_string = function
-  | Random_id -> "rand"
-  | By_rank -> "rank"
-  | By_size -> "size"
+let linking_to_string = function Random_id -> "rand" | By_rank -> "rank"
 
 let linking_of_string = function
   | "rand" | "random" -> Some Random_id
   | "rank" -> Some By_rank
-  | "size" -> Some By_size
   | _ -> None
 
 type layout = Flat | Padded | Packed
@@ -93,15 +90,11 @@ let pp ppf p = Format.pp_print_string ppf (to_string p)
 
 let validate p =
   match (p.linking, p.layout) with
-  | By_size, _ ->
-    Error
-      "by-size linking has no concurrent implementation here yet (see \
-       ROADMAP.md); use rand or rank"
   | Random_id, Packed ->
     Error "the packed layout links by rank; use rank:...:packed"
   | By_rank, (Flat | Padded) ->
     Error "rank linking requires the packed layout (rank:...:packed)"
-  | (Random_id | By_rank), _ -> Ok ()
+  | Random_id, (Flat | Padded) | By_rank, Packed -> Ok ()
 
 let is_valid p = Result.is_ok (validate p)
 

@@ -35,7 +35,9 @@ let handle ?on_link (spec : spec) =
   let stats = Dsu_stats.create () in
   let ids = spec.ids in
   A.create ~policy:spec.policy ~early:spec.early ~stats ?on_link ~mem:()
-    ~n:spec.n ~prio:(fun i -> ids.(i)) ()
+    ~n:spec.n
+    ~linking:(Dsu_algorithm.Random_ids (fun i -> ids.(i)))
+    ()
 
 let stats t =
   match A.stats t with None -> Dsu_stats.zero | Some s -> Dsu_stats.snapshot s

@@ -36,7 +36,9 @@ let create ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
        [make_set] crashed mid-publish, which the tie-breaking order
        tolerates. *)
     Algo.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n:capacity
-      ~prio:(fun i -> Flat_atomic_array.get_acquire prios i)
+      ~linking:
+        (Dsu_algorithm.Random_ids
+           (fun i -> Flat_atomic_array.get_acquire prios i))
       ()
   in
   { capacity; next = Atomic.make 0; prios; rng_state = Atomic.make seed; algo }
@@ -143,7 +145,9 @@ let of_snapshot ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
   let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
   let algo =
     Algo.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n:capacity
-      ~prio:(fun i -> Flat_atomic_array.get_acquire prios_arr i)
+      ~linking:
+        (Dsu_algorithm.Random_ids
+           (fun i -> Flat_atomic_array.get_acquire prios_arr i))
       ()
   in
   { capacity; next = Atomic.make k; prios = prios_arr; rng_state = Atomic.make seed; algo }

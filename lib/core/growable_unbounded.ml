@@ -122,10 +122,10 @@ let create ?policy ?early ?(collect_stats = false) ?(chunk_size = 1024)
   let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
   let algo =
     (* The functor needs a bound for its range checks; the universe is
-       unbounded, so give it the largest representable one and do real
-       bounds checking against [cardinal] here. *)
-    Algo.create ?policy ?early ?stats ~mem:parents ~n:max_int
-      ~prio:(fun i -> Chunked.get prios i)
+       unbounded, so give it the largest one a node word can address and
+       do real bounds checking against [cardinal] here. *)
+    Algo.create ?policy ?early ?stats ~mem:parents ~n:Dsu_algorithm.Word.max_nodes
+      ~linking:(Dsu_algorithm.Random_ids (fun i -> Chunked.get prios i))
       ()
   in
   { parents; prios; next = Atomic.make 0; rng_state = Atomic.make seed; algo }

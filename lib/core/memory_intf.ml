@@ -1,13 +1,16 @@
 (** The shared-memory primitives the concurrent algorithm needs.
 
-    Cell [i] of the memory holds the parent of node [i].  Only single-word
-    atomic reads and compare-and-swaps are required — this is the point of
-    randomized linking: unlike linking by rank or size, no second word ever
-    has to change together with a parent pointer (Section 3).
+    Cell [i] of the memory holds node [i]'s {!Dsu_algorithm.Word} — its
+    parent and, under rank linking, its rank.  Only single-word atomic
+    reads and compare-and-swaps are required: under randomized linking no
+    second word ever has to change together with a parent pointer
+    (Section 3), and rank linking keeps the rank in the same word.
 
-    Two instantiations exist: {!Dsu.Native_memory} over [Atomic] for real
-    OCaml 5 domains, and {!Dsu_sim.Sim_memory} over the APRAM simulator's
-    effect-based shared memory for exact step counting. *)
+    The instances in this library are {!Native_memory} over
+    {!Repro_util.Flat_atomic_array} for real OCaml 5 domains,
+    {!Dsu_sim.Sim_memory} over the APRAM simulator's effect-based shared
+    memory for exact step counting, and the chunked memory of
+    {!Growable_unbounded}. *)
 
 module type S = sig
   type t

@@ -1,106 +1,23 @@
-(** Concurrent linking-by-rank DSU over a bit-packed single word per node
-    (the GBBS [jayanti.h] layout): parent index, rank and a root flag in
-    fixed bit fields of one 63-bit OCaml int, so link and split each stay
-    a single CAS and every unpack is a mask/shift instead of a division
-    by the non-constant [n].
-
-    {v
-      bit 61        root flag (set iff the node is a tree root)
-      bits 40..60   rank (21 bits)
-      bits  0..39   parent index (40 bits)
-    v}
-
-    The layout bounds the universe to [n <= 2^40] (checked at [create]);
-    ranks are bounded by [ceil(lg n) <= 40], far below the field's
-    [2^21 - 1].  Linking is by rank (ties by node index), so the bounds
-    need no independence assumption.  See docs/PERFORMANCE.md for the
-    measured packed-vs-rank numbers. *)
+(** Concurrent linking by rank (Section 7): {!Dsu_algorithm.Make} with the
+    [By_rank] linking rule over the one {!Dsu_algorithm.Word} per node —
+    [(rank, parent)] in fixed bit fields, so link and split each stay a
+    single CAS and every unpack is a mask or a shift.  Linking is by rank
+    (ties by node index, the winner promoted by a best-effort CAS), so the
+    bounds need no independence assumption.  See docs/PERFORMANCE.md for
+    the measured numbers. *)
 
 (** {2 Word layout}
 
-    Exposed for tests, the snapshot codec and documentation; all pure. *)
+    The shared {!Dsu_algorithm.Word} codec, exposed for tests, the
+    snapshot codec and documentation; all pure. *)
 
-val parent_bits : int
-val rank_bits : int
-val max_nodes : int
-(** [2^parent_bits], the largest supported universe. *)
+include module type of Dsu_algorithm.Word
 
-val max_rank : int
-(** [2^rank_bits - 1], the largest encodable rank. *)
-
-val is_root_word : int -> bool
-val parent_of_word : int -> int
-val rank_of_word : int -> int
-val root_word : rank:int -> node:int -> int
-val child_word : rank:int -> parent:int -> int
-
-val init_word : int -> int
-(** [init_word i] is node [i]'s initial word: rank 0, root flag set. *)
-
-module Make (M : Memory_intf.S) : sig
-  type t
-
-  val create :
-    ?policy:Find_policy.t ->
-    ?backoff:bool ->
-    ?stats:Dsu_stats.t ->
-    ?on_link:(child:int -> parent:int -> unit) ->
-    mem:M.t ->
-    n:int ->
-    unit ->
-    t
-  (** [policy] (default two-try splitting) selects the find compaction
-      rule — all five {!Find_policy} variants are supported, with
-      rank-preserving updates; [backoff] (default [true]) spins after a
-      failed link CAS as in {!Dsu_algorithm}; [on_link] fires after every
-      successful link CAS (the WAL hook point, {!Repro_durable.Wal}).
-      @raise Invalid_argument unless [1 <= n <= max_nodes]. *)
-
-  val n : t -> int
-  val mem : t -> M.t
-  val policy : t -> Find_policy.t
-  val backoff : t -> bool
-  val find : t -> int -> int
-  val same_set : t -> int -> int -> bool
-  val unite : t -> int -> int -> unit
-
-  val unite_batch : t -> int array -> int array -> unit
-  (** The {!Dsu_algorithm.Make.unite_batch} bulk kernel (per-call root
-      cache + prefetch) over packed words. *)
-
-  val same_set_batch : t -> int array -> int array -> bool array
-  val find_batch : t -> int array -> int array
-  val parent_of : t -> int -> int
-  val rank_of : t -> int -> int
-  val is_root : t -> int -> bool
-
-  val count_sets : t -> int
-  (** Quiescent only. *)
-
-  val stats : t -> Dsu_stats.snapshot
-
-  val invariant_violations : t -> (int * int) list
-  (** Pairs [(node, parent)] breaking the rank order (every non-root must
-      point to a larger rank, ties broken upward by index) or whose root
-      flag disagrees with the parent field; empty on a correct
-      structure.  Quiescent only. *)
-
-  val parents_snapshot : t -> int array
-  val ranks_snapshot : t -> int array
-
-  val snapshot_fuzzy : t -> int array * int array
-  (** Fuzzy (non-quiescent) [(parents, ranks)] scan — one word read per
-      node with {!Repro_fault.Site.Snapshot_read} hits; racing rank
-      promotions can leave cross-node [(rank, index)] order violations
-      for the {!Repro_durable.Fuzzy} reconciliation pass to repair: a
-      child scanned after a tie-break link whose parent's word was
-      scanned before the promotion.  See {!Dsu_native.snapshot_fuzzy}. *)
-end
-
-(** Native instantiation over {!Native_memory} ([Flat_atomic_array] with
-    explicit-order loads); safe from any number of domains. *)
+(** The {!Dsu_native} handle under rank linking: same type, same
+    operations and telemetry wrappers; only the constructors and the rank
+    accessors are its own.  Safe from any number of domains. *)
 module Native : sig
-  type t
+  type t = Dsu_native.t
 
   val create :
     ?policy:Find_policy.t ->
@@ -111,34 +28,12 @@ module Native : sig
     ?on_link:(child:int -> parent:int -> unit) ->
     int ->
     t
-  (** [memory_order] as in {!Dsu_native.create} (default
+  (** [policy] (default two-try splitting) selects the find compaction
+      rule; [memory_order] as in {!Dsu_native.create} (default
       {!Memory_order.Relaxed_reads}); [padded] spreads one word per cache
-      line; [on_link] as in {!Make.create}. *)
-
-  val n : t -> int
-  val policy : t -> Find_policy.t
-  val backoff : t -> bool
-  val find : t -> int -> int
-  val same_set : t -> int -> int -> bool
-  val unite : t -> int -> int -> unit
-  val unite_batch : t -> int array -> int array -> unit
-  val same_set_batch : t -> int array -> int array -> bool array
-  val find_batch : t -> int array -> int array
-  val parent_of : t -> int -> int
-  val rank_of : t -> int -> int
-  val is_root : t -> int -> bool
-
-  val count_sets : t -> int
-  (** Quiescent only. *)
-
-  val stats : t -> Dsu_stats.snapshot
-  val invariant_violations : t -> (int * int) list
-  val memory_order : t -> Memory_order.t
-  val parents_snapshot : t -> int array
-  val ranks_snapshot : t -> int array
-
-  val snapshot_fuzzy : t -> int array * int array
-  (** See {!Make.snapshot_fuzzy}. *)
+      line; [on_link] fires after every successful link CAS (the WAL hook
+      point, {!Repro_durable.Wal}).
+      @raise Invalid_argument unless [1 <= n <= max_nodes]. *)
 
   val of_snapshot :
     ?policy:Find_policy.t ->
@@ -151,21 +46,50 @@ module Native : sig
     ranks:int array ->
     unit ->
     t
-  (** A fresh structure with the given forest and ranks re-packed into
+  (** A fresh structure with the given forest and ranks packed into
       words.  @raise Invalid_argument on length mismatch, out-of-range
       parents, ranks outside the bit field, or parents violating the
       [(rank, index)] order. *)
+
+  val rank_of : t -> int -> int
+  val ranks_snapshot : t -> int array
+
+  val snapshot_fuzzy : t -> int array * int array
+  (** Fuzzy (non-quiescent) [(parents, ranks)] scan — one word read per
+      node with {!Repro_fault.Site.Snapshot_read} hits; racing rank
+      promotions can leave cross-node [(rank, index)] order violations
+      for the {!Repro_durable.Fuzzy} reconciliation pass to repair: a
+      child scanned after a tie-break link whose parent's word was
+      scanned before the promotion.  See {!Dsu_native.snapshot_fuzzy}. *)
+
+  (** {3 Shared with {!Dsu_native}} *)
+
+  val n : t -> int
+  val find : t -> int -> int
+  val same_set : t -> int -> int -> bool
+  val unite : t -> int -> int -> unit
+  val unite_batch : t -> int array -> int array -> unit
+  val same_set_batch : t -> int array -> int array -> bool array
+  val find_batch : t -> int array -> int array
+  val parent_of : t -> int -> int
+  val is_root : t -> int -> bool
+  val count_sets : t -> int
+  val stats : t -> Dsu_stats.snapshot
+  val invariant_violations : t -> (int * int) list
+  val memory_order : t -> Memory_order.t
+  val parents_snapshot : t -> int array
 end
 
-(** Simulator instantiation over {!Dsu_sim.Sim_memory} (backoff off, two-try
-    splitting); see {!Dsu_sim} for the usage pattern.  Memory cell [i]
-    holds node [i]'s packed word — decode with {!parent_of_word}. *)
+(** Simulator instantiation over {!Dsu_sim.Sim_memory} (backoff off,
+    two-try splitting unless [policy] says otherwise); see {!Dsu_sim} for
+    the usage pattern.  Memory cell [i] holds node [i]'s word — decode
+    with {!parent_of_word}. *)
 module Sim : sig
   type t
 
   val mem_size : int -> int
   val init : int -> int -> int
-  val handle : int -> t
+  val handle : ?policy:Find_policy.t -> int -> t
   val find : t -> int -> int
   val same_set : t -> int -> int -> bool
   val unite : t -> int -> int -> unit

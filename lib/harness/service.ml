@@ -636,10 +636,10 @@ let to_json config ~points ~drills =
 
 let pp_point ppf p =
   Format.fprintf ppf
-    "rate %8.0f/s  acked %8.0f/s  p99 %8d  depth %4d/%s  rej %5d  shed %4d  \
-     %s%s"
+    "rate %8.0f/s  acked %8.0f/s  p99 %9.3f ms  depth %4d/%s  rej %5d  \
+     shed %4d  %s%s"
     p.offered_rate p.achieved_rate
-    (Hdr.quantile p.latency 0.99)
+    (float_of_int (Hdr.quantile p.latency 0.99) /. 1e6)
     p.max_depth
     (if p.depth_bound_ok then "ok" else "OVER")
     p.rejected p.shed

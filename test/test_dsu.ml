@@ -605,7 +605,7 @@ end
 module Flaky = Dsu.Algorithm.Make (Flaky_memory)
 
 let flaky_tests =
-  let make_flaky ~policy ~early ~n ~seed =
+  let make_flaky ~policy ~early ~rank ~n ~seed =
     let rng = Rng.create seed in
     let prios = Array.init n (fun _ -> Rng.int rng (n * n)) in
     let mem =
@@ -616,16 +616,25 @@ let flaky_tests =
         attempts = 0;
       }
     in
-    (Flaky.create ~policy ~early ~mem ~n ~prio:(fun i -> prios.(i)) (), mem)
+    let linking =
+      if rank then Dsu.Algorithm.By_rank
+      else Dsu.Algorithm.Random_ids (fun i -> prios.(i))
+    in
+    (Flaky.create ~policy ~early ~mem ~n ~linking (), mem)
   in
-  List.map
-    (fun ((policy, early) as v) ->
+  (* Every random-id variant, plus rank linking under every policy (its
+     splitting CASes keep the rank bits of the word they expect). *)
+  List.map (fun v -> (v, false)) all_variants
+  @ List.map (fun p -> ((p, false), true)) Policy.all
+  |> List.map
+    (fun (((policy, early) as v), rank) ->
       case
-        (Printf.sprintf "spurious cas_weak failures preserve semantics (%s)"
-           (variant_name v))
+        (Printf.sprintf "spurious cas_weak failures preserve semantics (%s%s)"
+           (variant_name v)
+           (if rank then ", rank" else ""))
         (fun () ->
           let n = 64 in
-          let d, mem = make_flaky ~policy ~early ~n ~seed:91 in
+          let d, mem = make_flaky ~policy ~early ~rank ~n ~seed:91 in
           let q = Quick_find.create n in
           let rng = Rng.create 92 in
           List.iter
@@ -657,7 +666,6 @@ let flaky_tests =
             check Alcotest.bool "spurious failures injected" true
               (mem.Flaky_memory.spurious > 0)
           end))
-    all_variants
 
 (* ---------------------------------------------------------- bulk kernels *)
 

@@ -1,4 +1,4 @@
-(* Tests for the bit-packed single-word (rank, parent, root-bit) layout
+(* Tests for rank linking over the single-word (rank, parent) node layout
    (Dsu.Packed) — natively and in the APRAM simulator — and the
    first-class plan space (Dsu.Plan). *)
 
@@ -16,32 +16,34 @@ let case name f = Alcotest.test_case name `Quick f
 let word_tests =
   [
     case "field widths fit one 63-bit OCaml int" (fun () ->
-        check Alcotest.bool "parent + rank + root bit <= 62" true
-          (Packed.parent_bits + Packed.rank_bits + 1 <= 62);
+        check Alcotest.bool "parent + rank <= 62" true
+          (Packed.parent_bits + Packed.rank_bits <= 62);
         check Alcotest.int "max_nodes" (1 lsl Packed.parent_bits)
           Packed.max_nodes;
         check Alcotest.int "max_rank" ((1 lsl Packed.rank_bits) - 1)
           Packed.max_rank);
-    case "root/child words pack and unpack exactly" (fun () ->
+    case "words pack and unpack exactly" (fun () ->
         let probes =
           [ (0, 0); (1, 1); (7, 41); (Packed.max_rank, Packed.max_nodes - 1) ]
         in
         List.iter
-          (fun (rank, node) ->
-            let w = Packed.root_word ~rank ~node in
-            check Alcotest.bool "root flag" true (Packed.is_root_word w);
+          (fun (rank, parent) ->
+            let w = Packed.word ~rank ~parent in
+            check Alcotest.bool "non-negative" true (w >= 0);
             check Alcotest.int "rank" rank (Packed.rank_of_word w);
-            check Alcotest.int "parent field" node (Packed.parent_of_word w);
-            let c = Packed.child_word ~rank ~parent:node in
-            check Alcotest.bool "child not root" false (Packed.is_root_word c);
-            check Alcotest.int "child rank" rank (Packed.rank_of_word c);
-            check Alcotest.int "child parent" node (Packed.parent_of_word c))
+            check Alcotest.int "parent field" parent (Packed.parent_of_word w);
+            let w' = Packed.with_parent w 5 in
+            check Alcotest.int "swung rank kept" rank (Packed.rank_of_word w');
+            check Alcotest.int "swung parent" 5 (Packed.parent_of_word w'))
           probes);
-    case "init_word is a rank-0 self-root" (fun () ->
-        let w = Packed.init_word 19 in
-        check Alcotest.bool "root" true (Packed.is_root_word w);
-        check Alcotest.int "rank 0" 0 (Packed.rank_of_word w);
-        check Alcotest.int "parent self" 19 (Packed.parent_of_word w));
+    case "a rank-0 word is its parent index" (fun () ->
+        (* So random-id cells, whose ranks stay 0, hold exactly the parent
+           index, and a fresh node's word is its own index. *)
+        List.iter
+          (fun i ->
+            check Alcotest.int (string_of_int i) i
+              (Packed.word ~rank:0 ~parent:i))
+          [ 0; 19; Packed.max_nodes - 1 ]);
     case "create bounds-checks n" (fun () ->
         List.iter
           (fun n ->
@@ -325,19 +327,102 @@ let sim_run ~n ~sched ops_lists =
   in
   Array.init n (Apram.Memory.peek outcome.Apram.Sim.memory)
 
-(* Nodes whose word breaks the rank order (a child must point to a larger
-   (rank, index)) or whose root flag disagrees with the parent field. *)
+(* Nodes whose word breaks the rank order: a child must point to a larger
+   (rank, index). *)
 let word_violations words =
   let key i = (Packed.rank_of_word words.(i), i) in
   List.filter_map
     (fun i ->
       let p = Packed.parent_of_word words.(i) in
-      let bad =
-        if Packed.is_root_word words.(i) then p <> i
-        else p = i || compare (key i) (key p) >= 0
-      in
-      if bad then Some (i, p) else None)
+      if p <> i && compare (key i) (key p) >= 0 then Some (i, p) else None)
     (List.init (Array.length words) Fun.id)
+
+let is_root_cell words i = Packed.parent_of_word words.(i) = i
+
+(* The partition a final simulator memory encodes. *)
+let partition_of_words words =
+  let n = Array.length words in
+  let rec root i =
+    let p = Packed.parent_of_word words.(i) in
+    if p = i then i else root p
+  in
+  let q = Quick_find.create n in
+  for i = 0 to n - 1 do
+    Quick_find.unite q i (root i)
+  done;
+  q
+
+(* Exhaustive interleaving checks, as test_dsu.ml runs them for random-id
+   linking: Apram.Explore enumerates the complete schedule tree of a
+   two-process workload, so rank linking's read / re-check / link /
+   promotion round is checked under every interleaving, for every
+   policy. *)
+let explore ~policy ~ops ~check:ok =
+  let n = 3 in
+  let make_ops () =
+    let h = Packed.Sim.handle ~policy n in
+    Array.map (List.map (fun op -> op h)) ops
+  in
+  Apram.Explore.run_all ~max_schedules:500_000 ~mem_size:(Packed.Sim.mem_size n)
+    ~init:(Packed.Sim.init n) ~make_ops ~check:ok ()
+
+let exhaustive_tests =
+  [
+    case "every schedule of unite || same_set linearizes (full enumeration)"
+      (fun () ->
+        List.iter
+          (fun policy ->
+            match
+              explore ~policy
+                ~ops:
+                  [|
+                    [ (fun h -> Packed.Sim.unite_op h 0 1) ];
+                    [ (fun h -> Packed.Sim.same_set_op h 0 1) ];
+                  |]
+                ~check:(fun o ->
+                  Lincheck.Checker.check ~n:3 o.Apram.Sim.history
+                  = Lincheck.Checker.Linearizable)
+            with
+            | Ok s ->
+              check Alcotest.bool
+                (Printf.sprintf "%s complete" (Policy.to_string policy))
+                false s.Apram.Explore.truncated;
+              check Alcotest.bool "several schedules" true
+                (s.Apram.Explore.schedules > 10)
+            | Error v ->
+              Alcotest.failf "policy %s, schedule %d not linearizable"
+                (Policy.to_string policy) v.Apram.Explore.schedule_index)
+          Policy.all);
+    case "every schedule of racing unites yields the correct partition"
+      (fun () ->
+        (* unite(0,1) racing unite(1,2): whatever the interleaving, the
+           final partition is {0,1,2} and every word keeps the rank
+           order, promotions included. *)
+        List.iter
+          (fun policy ->
+            match
+              explore ~policy
+                ~ops:
+                  [|
+                    [ (fun h -> Packed.Sim.unite_op h 0 1) ];
+                    [ (fun h -> Packed.Sim.unite_op h 1 2) ];
+                  |]
+                ~check:(fun o ->
+                  let words =
+                    Array.init 3 (Apram.Memory.peek o.Apram.Sim.memory)
+                  in
+                  Quick_find.count_sets (partition_of_words words) = 1
+                  && word_violations words = [])
+            with
+            | Ok s ->
+              check Alcotest.bool
+                (Printf.sprintf "%s complete" (Policy.to_string policy))
+                false s.Apram.Explore.truncated
+            | Error v ->
+              Alcotest.failf "policy %s, schedule %d wrong partition"
+                (Policy.to_string policy) v.Apram.Explore.schedule_index)
+          Policy.all);
+  ]
 
 let sim_tests =
   [
@@ -420,11 +505,7 @@ let sim_tests =
         let memory =
           sim_run ~n:4 ~sched:(Apram.Scheduler.round_robin ()) [| [ (0, 1) ] |]
         in
-        let roots =
-          List.filter
-            (fun i -> Packed.is_root_word memory.(i))
-            [ 0; 1 ]
-        in
+        let roots = List.filter (is_root_cell memory) [ 0; 1 ] in
         match roots with
         | [ r ] -> check Alcotest.int "winner rank" 1 (Packed.rank_of_word memory.(r))
         | _ -> Alcotest.fail "expected exactly one root of {0, 1}");
@@ -488,10 +569,10 @@ let sim_tests =
             ~init:(Packed.Sim.init n) ~sched:(Apram.Scheduler.cas_adversary ~seed:3)
             bodies
         in
+        let memory = Array.init n (Apram.Memory.peek outcome.Apram.Sim.memory) in
         let roots = ref 0 in
         for i = 0 to n - 1 do
-          if Packed.is_root_word (Apram.Memory.peek outcome.Apram.Sim.memory i)
-          then incr roots
+          if is_root_cell memory i then incr roots
         done;
         check Alcotest.int "links" (n - !roots) (Packed.Sim.stats h).Dsu.Stats.links);
   ]
@@ -502,5 +583,6 @@ let () =
       ("word", word_tests);
       ("native", native_tests);
       ("sim", sim_tests);
+      ("exhaustive", exhaustive_tests);
       ("plan", plan_tests);
     ]
