@@ -10,13 +10,13 @@
      dsu_workload sim --procs 8 --sched crash:0,1:400
      dsu_workload lincheck --trials 200 --procs 3
      dsu_workload chaos --domains 8 --crash-domains 2 --validate
-     dsu_workload chaos --crash-domains 2 --recover --snapshot-out crash
+     dsu_workload chaos --domains 4 --crash-domains 2 --recover --snapshot-out crash
      dsu_workload snapshot -n 4096 --ops 20000 --snapshot-out dsu.snap
      dsu_workload restore --resume-from dsu.snap --repair --validate
      dsu_workload native --impl jt --wal ops.wal
      dsu_workload snapshot --fuzzy --snapshot-out fuzzy.snap
      dsu_workload restore --resume-from fuzzy.snap --wal ops.wal --validate
-     dsu_workload chaos --durable --kind packed
+     dsu_workload chaos --durable --kind packed --domains 4
      dsu_workload wal --file ops.wal --dump --check
      dsu_workload durability --max-overhead 15
      dsu_workload serve --arrival-rate 20000 --workers 2 --admission reject
@@ -60,7 +60,7 @@ let policy_arg =
     value
     & opt policy_conv Policy.Two_try_splitting
     & info [ "policy" ] ~docv:"POLICY"
-        ~doc:"Find policy: none, one-try, two-try or compression.")
+        ~doc:"Find policy: none, one-try, two-try, halving or compression.")
 
 type sched_kind =
   [ `Round_robin
@@ -466,63 +466,27 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
         List.iter Domain.join handles;
         Unix.gettimeofday () -. t0)
   in
+  let run_dsu d =
+    let dt =
+      in_domains
+        (apply_ops ~unite:(Dsu.Native.unite d) ~same_set:(Dsu.Native.same_set d)
+           ~find:(Dsu.Native.find d))
+    in
+    root_fn := Some (Dsu.Native.is_root d);
+    (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
+  in
   let elapsed, final_sets, stats =
     match plan with
-    | Some p -> (
-      let policy = p.Dsu.Plan.compaction in
-      let memory_order = p.Dsu.Plan.memory_order in
-      let backoff = p.Dsu.Plan.backoff in
-      match p.Dsu.Plan.layout with
-      | Dsu.Plan.Flat | Dsu.Plan.Padded ->
-        let d =
-          Dsu.Native.create ~policy ~memory_order ~backoff
-            ~padded:(p.Dsu.Plan.layout = Dsu.Plan.Padded) ~collect_stats:true
-            ?on_link ~seed n
-        in
-        let dt =
-          in_domains
-            (apply_ops ~unite:(Dsu.Native.unite d)
-               ~same_set:(Dsu.Native.same_set d) ~find:(Dsu.Native.find d))
-        in
-        root_fn := Some (Dsu.Native.is_root d);
-        (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
-      | Dsu.Plan.Packed ->
-        let d =
-          Dsu.Packed.Native.create ~policy ~backoff ~memory_order
-            ~collect_stats:true ?on_link n
-        in
-        let dt =
-          in_domains
-            (apply_ops ~unite:(Dsu.Packed.Native.unite d)
-               ~same_set:(Dsu.Packed.Native.same_set d)
-               ~find:(Dsu.Packed.Native.find d))
-        in
-        root_fn := Some (Dsu.Packed.Native.is_root d);
-        (dt, Dsu.Packed.Native.count_sets d, Some (Dsu.Packed.Native.stats d)))
+    | Some p ->
+      run_dsu (Dsu.Driver.native ~seed ~collect_stats:true ?on_link p n)
     | None -> (
       match impl with
-      | Jt | Jt_early ->
-      let d =
-        Dsu.Native.create ~policy ~early:(impl = Jt_early) ~collect_stats:true
-          ?on_link ~seed n
-      in
-      let dt =
-        in_domains
-          (apply_ops ~unite:(Dsu.Native.unite d) ~same_set:(Dsu.Native.same_set d)
-             ~find:(Dsu.Native.find d))
-      in
-      root_fn := Some (Dsu.Native.is_root d);
-      (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
+    | Jt | Jt_early ->
+      run_dsu
+        (Dsu.Native.create ~policy ~early:(impl = Jt_early) ~collect_stats:true
+           ?on_link ~seed n)
     | Packed ->
-      let d = Dsu.Packed.Native.create ~policy ~collect_stats:true ?on_link n in
-      let dt =
-        in_domains
-          (apply_ops ~unite:(Dsu.Packed.Native.unite d)
-             ~same_set:(Dsu.Packed.Native.same_set d)
-             ~find:(Dsu.Packed.Native.find d))
-      in
-      root_fn := Some (Dsu.Packed.Native.is_root d);
-      (dt, Dsu.Packed.Native.count_sets d, Some (Dsu.Packed.Native.stats d))
+      run_dsu (Dsu.Packed.Native.create ~policy ~collect_stats:true ?on_link n)
     | Aw ->
       let d = Baselines.Anderson_woll.Native.create ~collect_stats:true n in
       let dt =

@@ -4,7 +4,11 @@
 
     Entry points:
 
-    - {!Native} — the user-facing DSU over OCaml 5 domains.
+    - {!Native} — the user-facing DSU over OCaml 5 domains; one handle
+      type under both linking rules ({!Packed.Native} builds the rank
+      one, {!Native.by_rank} tells them apart).
+    - {!Driver} — the plan boundary: {!Driver.native} turns a {!Plan}
+      into that handle.
     - {!Growable} — the [MakeSet] extension (elements created on the fly).
     - {!Sim} — the same algorithm instrumented to run inside the APRAM
       simulator ({!Apram.Sim}) for exact work measurements.
@@ -44,9 +48,9 @@ module Growable_unbounded = Growable_unbounded
 module Packed = Packed_dsu
 (** The concurrent linking-by-rank variant of Section 7, which needs no
     independence assumption (see experiment E15): the {!Native} handle
-    with [By_rank] linking, using the rank field of the [(rank, parent)]
-    node word, under every {!Find_policy} compaction rule; {!Packed.Sim}
-    runs it in the APRAM simulator. *)
+    (the same type) with [By_rank] linking, using the rank field of the
+    [(rank, parent)] node word, under every {!Find_policy} compaction
+    rule; {!Packed.Sim} runs it in the APRAM simulator. *)
 
 module Plan = Dsu_plan
 (** First-class configuration points of the plan space (linking rule x
@@ -54,4 +58,5 @@ module Plan = Dsu_plan
     by [Harness.Autotune] and the [--plan] CLI spec syntax. *)
 
 module Driver = Dsu_driver
-(** Plan-dispatched backend as a first-class closure record. *)
+(** The plan boundary: {!Driver.native} builds the {!Native} handle a plan
+    names; {!Driver.create} wraps it as a first-class closure record. *)

@@ -111,6 +111,15 @@ module Make (M : Memory_intf.S) = struct
 
   let bump t f = match t.stats with None -> () | Some s -> f s
 
+  (* The CAS counters take [~ok], so [bump t (incr_compaction_cas ~ok)]
+     would build a partial application before [bump] tests [t.stats]:
+     one allocation per CAS with stats off.  These test first. *)
+  let bump_cas t ~ok =
+    match t.stats with None -> () | Some s -> Dsu_stats.incr_compaction_cas s ~ok
+
+  let bump_link t ~ok =
+    match t.stats with None -> () | Some s -> Dsu_stats.incr_link_cas s ~ok
+
   let record_link t ~child ~parent =
     match t.on_link with None -> () | Some f -> f ~child ~parent
 
@@ -200,7 +209,7 @@ module Make (M : Memory_intf.S) = struct
       if v = w then v
       else begin
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         loop v
       end
     in
@@ -219,7 +228,7 @@ module Make (M : Memory_intf.S) = struct
       else begin
         fault_split_pre ();
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
         loop v
@@ -239,14 +248,14 @@ module Make (M : Memory_intf.S) = struct
       if v = w then v
       else begin
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         let wu2 = M.read t.mem u in
         let v2 = parent_of_word wu2 in
         let w2 = parent_of_word (M.read t.mem v2) in
         if v2 = w2 then v2
         else begin
           let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
+          bump_cas t ~ok:ok2;
           loop v2
         end
       end
@@ -266,7 +275,7 @@ module Make (M : Memory_intf.S) = struct
       else begin
         fault_split_pre ();
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
         let wu2 = M.read t.mem u in
@@ -277,7 +286,7 @@ module Make (M : Memory_intf.S) = struct
         else begin
           fault_split_pre ();
           let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
+          bump_cas t ~ok:ok2;
           Dsu_obs.on_compaction_cas ~node:u ~ok:ok2;
           fault_split_post ();
           loop v2
@@ -304,7 +313,7 @@ module Make (M : Memory_intf.S) = struct
         if v = w then v
         else begin
           let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok);
+          bump_cas t ~ok;
           loop w
         end
       end
@@ -326,7 +335,7 @@ module Make (M : Memory_intf.S) = struct
         else begin
           fault_split_pre ();
           let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok);
+          bump_cas t ~ok;
           Dsu_obs.on_compaction_cas ~node:u ~ok;
           fault_split_post ();
           loop w
@@ -355,7 +364,7 @@ module Make (M : Memory_intf.S) = struct
       (fun (u, wu) ->
         if parent_of_word wu <> root then begin
           let ok = M.cas_weak t.mem u wu (with_parent wu root) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok)
+          bump_cas t ~ok
         end)
       path;
     root
@@ -375,7 +384,7 @@ module Make (M : Memory_intf.S) = struct
         if parent_of_word wu <> root then begin
           fault_split_pre ();
           let ok = M.cas_weak t.mem u wu (with_parent wu root) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok);
+          bump_cas t ~ok;
           Dsu_obs.on_compaction_cas ~node:u ~ok;
           fault_split_post ()
         end)
@@ -430,7 +439,7 @@ module Make (M : Memory_intf.S) = struct
       let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok)
+        bump_cas t ~ok
       end;
       z
     | Find_policy.Halving ->
@@ -439,7 +448,7 @@ module Make (M : Memory_intf.S) = struct
       let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         w
       end
       else z
@@ -447,13 +456,13 @@ module Make (M : Memory_intf.S) = struct
       let w = parent_of_word (M.read t.mem z) in
       if z <> w then begin
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         let wu2 = M.read t.mem u in
         let z2 = parent_of_word wu2 in
         let w2 = parent_of_word (M.read t.mem z2) in
         if z2 <> w2 then begin
           let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2)
+          bump_cas t ~ok:ok2
         end;
         z2
       end
@@ -472,7 +481,7 @@ module Make (M : Memory_intf.S) = struct
       if z <> w then begin
         fault_split_pre ();
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ()
       end;
@@ -483,7 +492,7 @@ module Make (M : Memory_intf.S) = struct
       if z <> w then begin
         fault_split_pre ();
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
         w
@@ -495,7 +504,7 @@ module Make (M : Memory_intf.S) = struct
       if z <> w then begin
         fault_split_pre ();
         let ok = M.cas_weak t.mem u wu (with_parent wu w) in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        bump_cas t ~ok;
         Dsu_obs.on_compaction_cas ~node:u ~ok;
         fault_split_post ();
         let wu2 = M.read t.mem u in
@@ -505,7 +514,7 @@ module Make (M : Memory_intf.S) = struct
         if z2 <> w2 then begin
           fault_split_pre ();
           let ok2 = M.cas_weak t.mem u wu2 (with_parent wu2 w2) in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
+          bump_cas t ~ok:ok2;
           Dsu_obs.on_compaction_cas ~node:u ~ok:ok2;
           fault_split_post ()
         end;
@@ -557,7 +566,7 @@ module Make (M : Memory_intf.S) = struct
   let[@inline] link t child expected parent =
     fault_link_pre ();
     let ok = M.cas t.mem child expected (with_parent expected parent) in
-    bump t (Dsu_stats.incr_link_cas ~ok);
+    bump_link t ~ok;
     if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:child ~ok;
     fault_link_post ();
     if ok then record_link t ~child ~parent;

@@ -1,17 +1,15 @@
-(** A {!Dsu_plan}-dispatched DSU backend as a first-class value.
-
-    [Harness.Scalability.run_plan_point] dispatches a plan to the right
-    layout constructor inline; every new plan-aware subsystem (the
-    connectivity pipeline, the service layer) was about to repeat that
-    match.  This module does the dispatch once and hands back a record of
-    closures over the constructed structure, so callers are parametric in
-    the plan without a functor boundary or a GADT.
+(** The plan boundary: {!native} is the one place a {!Dsu_plan} layout
+    becomes a constructor.  Every layout builds the same {!Dsu_native.t}
+    handle — random ids or ranks, padded or not — so everything
+    downstream (recover, durable, service, chaos) takes that one type.
+    {!create} wraps the handle in a record of closures for callers that
+    want a first-class value (the connectivity pipeline, perfbench).
 
     The closure record costs one indirect call per operation.  The bulk
     kernels ([unite_batch] / [same_set_batch] / [find_batch]) amortize
     that over the whole batch, so plan-parametric batch pipelines pay
     essentially nothing; per-op hot loops that care about the last few
-    percent should keep matching on the layout themselves (as the
+    percent call {!Dsu_native} on the {!native} handle directly (as the
     scalability harness does). *)
 
 type t = {
@@ -28,22 +26,23 @@ type t = {
   stats : unit -> Dsu_stats.snapshot option;
 }
 
-let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false) n =
+let native ?seed ?(collect_stats = false) ?on_link (plan : Dsu_plan.t) n =
   (match Dsu_plan.validate plan with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Dsu_driver.create: invalid plan: " ^ msg));
-  let policy = plan.Dsu_plan.compaction in
-  let backoff = plan.Dsu_plan.backoff in
-  let memory_order = plan.Dsu_plan.memory_order in
-  let d =
-    match plan.Dsu_plan.layout with
-    | Dsu_plan.Flat | Dsu_plan.Padded ->
-      Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ~seed
-        ~padded:(plan.Dsu_plan.layout = Dsu_plan.Padded)
-        n
-    | Dsu_plan.Packed ->
-      Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats n
-  in
+  | Error msg -> invalid_arg ("Dsu_driver: invalid plan: " ^ msg));
+  let policy = plan.compaction
+  and backoff = plan.backoff
+  and memory_order = plan.memory_order in
+  match plan.layout with
+  | Dsu_plan.Flat | Dsu_plan.Padded ->
+    Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
+      ?seed ~padded:(plan.layout = Dsu_plan.Padded) n
+  | Dsu_plan.Packed ->
+    Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats
+      ?on_link n
+
+let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false) n =
+  let d = native ~seed ~collect_stats plan n in
   {
     n;
     plan;

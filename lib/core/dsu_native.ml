@@ -88,6 +88,12 @@ let stats t = match A.stats t with None -> Dsu_stats.zero | Some s -> Dsu_stats.
 let reset_stats t = match A.stats t with None -> () | Some s -> Dsu_stats.reset s
 
 let invariant_violations = A.invariant_violations
+
+let by_rank t =
+  match A.linking t with
+  | Dsu_algorithm.By_rank -> true
+  | Dsu_algorithm.Random_ids _ -> false
+
 let memory_order t = Native_memory.order (A.mem t)
 
 let parents_snapshot t =
@@ -105,11 +111,6 @@ let sets t =
   Hashtbl.fold (fun _ members acc -> members :: acc) classes []
   |> List.map (List.sort compare)
   |> List.sort compare
-
-type snapshot = { parents : int array; ids : int array }
-
-let snapshot t =
-  { parents = parents_snapshot t; ids = Array.init (A.n t) (fun i -> A.id t i) }
 
 let ids_snapshot t = Array.init (A.n t) (fun i -> A.id t i)
 
@@ -137,58 +138,27 @@ let snapshot_fuzzy t =
   done;
   (parents, keys)
 
-let restore ?policy ?early ?backoff ?memory_order ?collect_stats
-    ?on_link ?(padded = false) (s : snapshot) =
-  let n = Array.length s.parents in
-  if n < 1 || Array.length s.ids <> n then
-    invalid_arg "Dsu_native.restore: malformed snapshot";
-  let ids = Array.copy s.ids in
+let of_snapshot ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link
+    ?(padded = false) ~parents ~ids () =
+  let n = Array.length parents in
+  if n < 1 || Array.length ids <> n then
+    invalid_arg "Dsu_native.of_snapshot: malformed snapshot";
+  let ids = Array.copy ids in
   let seen = Array.make n false in
   Array.iter
     (fun id ->
       if id < 0 || id >= n || seen.(id) then
-        invalid_arg "Dsu_native.restore: ids are not a permutation";
+        invalid_arg "Dsu_native.of_snapshot: ids are not a permutation";
       seen.(id) <- true)
     ids;
   Array.iteri
     (fun i p ->
-      if p < 0 || p >= n then invalid_arg "Dsu_native.restore: parent out of range";
+      if p < 0 || p >= n then
+        invalid_arg "Dsu_native.of_snapshot: parent out of range";
       if p <> i && ids.(p) <= ids.(i) then
-        invalid_arg "Dsu_native.restore: parents violate the linking order")
-    s.parents;
+        invalid_arg "Dsu_native.of_snapshot: parents violate the linking order")
+    parents;
   of_memory ?policy ?early ?backoff ?collect_stats ?on_link
     ~linking:(Dsu_algorithm.Random_ids (fun i -> ids.(i)))
     ~n
-    (Native_memory.make ~padded ?order:memory_order n (fun i -> s.parents.(i)))
-
-let of_snapshot ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link
-    ?padded ~parents ~ids () =
-  restore ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link ?padded
-    { parents; ids }
-
-let snapshot_to_string (s : snapshot) =
-  let buf = Buffer.create (Array.length s.parents * 8) in
-  Buffer.add_string buf (string_of_int (Array.length s.parents));
-  Array.iter (fun p -> Buffer.add_char buf ' '; Buffer.add_string buf (string_of_int p)) s.parents;
-  Array.iter (fun id -> Buffer.add_char buf ' '; Buffer.add_string buf (string_of_int id)) s.ids;
-  Buffer.contents buf
-
-let snapshot_of_string text =
-  match String.split_on_char ' ' (String.trim text) with
-  | [] -> invalid_arg "Dsu_native.snapshot_of_string: empty"
-  | count :: rest -> (
-    match int_of_string_opt count with
-    | None -> invalid_arg "Dsu_native.snapshot_of_string: bad header"
-    | Some n ->
-      if n < 1 || List.length rest <> 2 * n then
-        invalid_arg "Dsu_native.snapshot_of_string: wrong field count";
-      let values =
-        List.map
-          (fun f ->
-            match int_of_string_opt f with
-            | Some v -> v
-            | None -> invalid_arg "Dsu_native.snapshot_of_string: bad integer")
-          rest
-      in
-      let arr = Array.of_list values in
-      { parents = Array.sub arr 0 n; ids = Array.sub arr n n })
+    (Native_memory.make ~padded ?order:memory_order n (fun i -> parents.(i)))

@@ -4,7 +4,9 @@
     randomized-linking DSU instantiated on {!Native_memory} (one flat word
     per node).  All operations may be called concurrently from any number
     of domains.  The same handle, under rank linking, is
-    {!Packed_dsu.Native}: only the constructors differ.
+    {!Packed_dsu.Native}: only the constructors differ, and {!by_rank}
+    tells the two apart.  Its one snapshot codec is
+    {!Repro_recover.Snapshot}; {!of_snapshot} rebuilds from its arrays.
 
     {1 Quick start}
 
@@ -61,7 +63,7 @@ val of_memory :
   n:int ->
   Native_memory.t ->
   t
-(** The constructor under {!create}, {!restore} and {!Packed_dsu.Native}:
+(** The constructor under {!create}, {!of_snapshot} and {!Packed_dsu.Native}:
     wraps a prepared memory whose cell [i] holds node [i]'s
     {!Dsu_algorithm.Word}. *)
 
@@ -106,6 +108,10 @@ val id : t -> int -> int
 (** The node's position in the random total order (the linking priority);
     its current rank under rank linking. *)
 
+val by_rank : t -> bool
+(** Whether the handle links by rank ({!Packed_dsu.Native}'s constructors)
+    rather than by random ids — the one fact that tells the two apart. *)
+
 val parent_of : t -> int -> int
 val is_root : t -> int -> bool
 
@@ -141,26 +147,6 @@ val sets : t -> int list list
 (** The partition as sorted classes (sorted by smallest member).  Quiescent
     only. *)
 
-type snapshot
-(** A serializable image of the structure (parents + node order), taken and
-    restored at quiescence — persistence for checkpoint/restart uses. *)
-
-val snapshot : t -> snapshot
-
-val restore :
-  ?policy:Find_policy.t ->
-  ?early:bool ->
-  ?backoff:bool ->
-  ?memory_order:Memory_order.t ->
-  ?collect_stats:bool ->
-  ?on_link:(child:int -> parent:int -> unit) ->
-  ?padded:bool ->
-  snapshot ->
-  t
-(** A fresh structure with the same partition, node order and tree shape;
-    policy/early/backoff/memory_order/padded may differ from the
-    original's. *)
-
 val of_snapshot :
   ?policy:Find_policy.t ->
   ?early:bool ->
@@ -173,10 +159,9 @@ val of_snapshot :
   ids:int array ->
   unit ->
   t
-(** [restore] over raw arrays — the constructor {!Repro_recover.Restore}
-    uses.  Same validation (ids a permutation, parents in range and
-    order-increasing); raises [Invalid_argument] otherwise. *)
-
-val snapshot_to_string : snapshot -> string
-val snapshot_of_string : string -> snapshot
-(** Raises [Invalid_argument] on malformed input. *)
+(** A fresh random-id structure with the given forest and node order —
+    the constructor {!Repro_recover.Restore} uses.  [policy], [early],
+    [backoff], [memory_order] and [padded] may differ from the original's.
+    @raise Invalid_argument unless [ids] is a permutation of [0 .. n-1],
+    every parent is in range and every non-root's parent has a larger
+    id. *)

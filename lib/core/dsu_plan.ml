@@ -88,6 +88,12 @@ let to_string p =
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 
+(* The valid plan over [layout]: its linking rule is the one [validate]
+   pairs with the layout. *)
+let of_layout ~compaction ~memory_order ~backoff layout =
+  let linking = match layout with Flat | Padded -> Random_id | Packed -> By_rank in
+  { linking; compaction; memory_order; backoff; layout }
+
 let validate p =
   match (p.linking, p.layout) with
   | Random_id, Packed ->

@@ -24,9 +24,6 @@ module Native = struct
       ~linking:Dsu_algorithm.By_rank ~n
       (Native_memory.make ~padded ?order:memory_order n (fun i -> i))
 
-  let rank_of = id
-  let ranks_snapshot = ids_snapshot
-
   let of_snapshot ?policy ?backoff ?memory_order ?collect_stats
       ?(padded = false) ?on_link ~parents ~ranks () =
     let n = Array.length parents in

@@ -14,8 +14,10 @@
 include module type of Dsu_algorithm.Word
 
 (** The {!Dsu_native} handle under rank linking: same type, same
-    operations and telemetry wrappers; only the constructors and the rank
-    accessors are its own.  Safe from any number of domains. *)
+    operations and telemetry wrappers; only the constructors are its own
+    ({!Dsu_native.by_rank} is [true] on what they build, and
+    {!Dsu_native.id} reads a node's current rank).  Safe from any number
+    of domains. *)
 module Native : sig
   type t = Dsu_native.t
 
@@ -51,9 +53,6 @@ module Native : sig
       parents, ranks outside the bit field, or parents violating the
       [(rank, index)] order. *)
 
-  val rank_of : t -> int -> int
-  val ranks_snapshot : t -> int array
-
   val snapshot_fuzzy : t -> int array * int array
   (** Fuzzy (non-quiescent) [(parents, ranks)] scan — one word read per
       node with {!Repro_fault.Site.Snapshot_read} hits; racing rank
@@ -71,6 +70,8 @@ module Native : sig
   val unite_batch : t -> int array -> int array -> unit
   val same_set_batch : t -> int array -> int array -> bool array
   val find_batch : t -> int array -> int array
+  val id : t -> int -> int
+  val ids_snapshot : t -> int array
   val parent_of : t -> int -> int
   val is_root : t -> int -> bool
   val count_sets : t -> int

@@ -30,22 +30,13 @@ let capture ?epoch ~kind ~capacity scan =
   { snapshot; raw; fixes; scan_ns; repair_ns }
 
 let of_native ?epoch d =
-  capture ?epoch ~kind:Snapshot.Flat ~capacity:(Dsu.Native.n d) (fun () ->
-      Dsu.Native.snapshot_fuzzy d)
+  capture ?epoch ~kind:(Snapshot.native_kind d) ~capacity:(Dsu.Native.n d)
+    (fun () -> Dsu.Native.snapshot_fuzzy d)
 
 let of_growable ?epoch d =
   capture ?epoch ~kind:Snapshot.Growable ~capacity:(Dsu.Growable.capacity d)
     (fun () -> Dsu.Growable.snapshot_fuzzy d)
 
-let of_packed ?epoch d =
-  capture ?epoch ~kind:Snapshot.Packed ~capacity:(Dsu.Packed.Native.n d)
-    (fun () -> Dsu.Packed.Native.snapshot_fuzzy d)
-
-let of_restored ?epoch r =
-  let capacity =
-    match r with
-    | Restore.Growable d -> Dsu.Growable.capacity d
-    | _ -> Restore.n r
-  in
-  capture ?epoch ~kind:(Restore.kind r) ~capacity (fun () ->
-      Restore.snapshot_fuzzy r)
+let of_restored ?epoch = function
+  | Restore.Native d -> of_native ?epoch d
+  | Restore.Growable d -> of_growable ?epoch d

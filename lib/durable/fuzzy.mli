@@ -4,11 +4,11 @@
     The scan is one acquire read per parent cell while unites and finds
     keep running.  Lemma 3.1 (parents only ever move to proper ancestors
     under the same linking order) makes the scanned cut a valid forest for
-    the random-priority layouts: priorities are immutable, so every
+    random-id and random-priority handles: priorities are immutable, so every
     scanned edge satisfies the order invariant at whatever moment it was
     read, and the cut's partition {e refines} the final one — no union is
-    invented, racing unions may be absent.  For the packed rank layout a
-    racing rank promotion can leave a cross-node order violation in the
+    invented, racing unions may be absent.  For a rank-linking handle
+    (kind [Packed]) a racing rank promotion can leave a cross-node order violation in the
     cut; the reconciliation pass below removes it.
 
     Every capture runs {!Repro_recover.Repair.repair} on the scanned cut
@@ -39,9 +39,11 @@ type capture = {
 }
 
 val of_native : ?epoch:Epoch.t -> Dsu.Native.t -> capture
+(** Of kind {!Repro_recover.Snapshot.native_kind}: [Flat] for random-id
+    linking, [Packed] (ranks, reconciled) for rank linking. *)
+
 val of_growable : ?epoch:Epoch.t -> Dsu.Growable.t -> capture
-val of_packed : ?epoch:Epoch.t -> Dsu.Packed.Native.t -> capture
 
 val of_restored : ?epoch:Epoch.t -> Repro_recover.Restore.restored -> capture
-(** Dispatch on a restored handle's kind — what a recovered-and-resumed
-    server uses for its next checkpoint. *)
+(** Dispatch on a restored handle — what a recovered-and-resumed server
+    uses for its next checkpoint. *)

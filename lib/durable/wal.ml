@@ -164,11 +164,11 @@ let run_committer w =
         let b = sh.buf in
         sh.buf <- [];
         Mutex.unlock sh.mu;
-        List.iter
-          (fun r ->
-            pending := r :: !pending;
-            incr n_pending)
-          b)
+        (* [b] and [pending] are both newest-first; keep it that way so
+           [commit_pending]'s one reversal writes each shard's records in
+           append order. *)
+        pending := List.rev_append (List.rev b) !pending;
+        n_pending := !n_pending + List.length b)
       w.shards
   in
   (* A drained backlog larger than [flush_records] is committed in chunks

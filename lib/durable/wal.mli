@@ -21,8 +21,9 @@
 
     Magic ["DSUWAL01"], then 37-byte records: kind byte [0x01], epoch,
     seq, x, y as 8-byte little-endian words, CRC-32 (of the preceding 33
-    bytes) little-endian.  Records appear in commit order, which
-    interleaves domains — readers must not assume seq-sorted order.
+    bytes) little-endian.  Records appear in commit order: each domain's
+    records in the order it appended them (ascending [seq]), but domains
+    interleave — readers must not assume seq-sorted order across them.
 
     {2 Torn tails}
 

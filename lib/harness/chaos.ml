@@ -92,23 +92,18 @@ let handle_of (r : Rrestore.restored) =
     parents = (fun () -> (Rrestore.snapshot r).Rsnap.parents);
     prio =
       (match r with
-      | Rrestore.Flat d -> Dsu.Native.id d
-      | Rrestore.Growable d -> Dsu.Growable.priority d
-      | Rrestore.Packed d -> Dsu.Packed.Native.rank_of d);
+      | Rrestore.Native d -> Dsu.Native.id d
+      | Rrestore.Growable d -> Dsu.Growable.priority d);
     snapshot = (fun () -> Rrestore.snapshot r);
   }
 
 (* A fresh structure for a harness layout: flat (padded or not) or
    packed. *)
 let fresh ~layout ~policy ~memory_order ~seed n =
-  let kind =
-    match (layout : Scalability.layout) with
-    | Flat | Padded -> Rsnap.Flat
-    | Packed -> Rsnap.Packed
+  let plan =
+    Dsu.Plan.of_layout ~compaction:policy ~memory_order ~backoff:true layout
   in
-  Rrestore.create ~policy ~memory_order
-    ~padded:(layout = Scalability.Padded)
-    ~seed kind n
+  Rrestore.Native (Dsu.Driver.native ~seed plan n)
 
 let gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain =
   Array.init domains (fun k ->

@@ -112,34 +112,22 @@ let time_run ~domains ~(run : int -> unit) =
   in
   (seconds, failures)
 
-let run_point ?(config = default_config) ?(memory_order = Order.default)
-    ?(backoff = true) ?(dist = Uniform) ~layout ~policy ~domains () =
+let run_plan_point ?(config = default_config) ?(dist = Uniform)
+    ~(plan : Dsu.Plan.t) ~domains () =
   if domains < 1 then invalid_arg "Scalability.run_point: domains must be >= 1";
   let { n; total_ops; unite_percent; seed; _ } = config in
   let ops_per_domain = max 1 (total_ops / domains) in
   let ops = gen_ops ~dist ~n ~unite_percent ~seed ~domains ~ops_per_domain () in
+  let d = Dsu.Driver.native ~seed plan n in
   let seconds, failures =
-    match layout with
-    | Flat ->
-      let d = Dsu.Native.create ~policy ~backoff ~memory_order ~seed n in
-      time_run ~domains ~run:(fun k -> Workload.Op.run_native_array d ops.(k))
-    | Padded ->
-      let d =
-        Dsu.Native.create ~padded:true ~policy ~backoff ~memory_order ~seed n
-      in
-      time_run ~domains ~run:(fun k -> Workload.Op.run_native_array d ops.(k))
-    | Packed ->
-      (* Linking by rank over the bit-packed single-word layout; [seed]
-         is irrelevant (no random priorities). *)
-      let d = Dsu.Packed.Native.create ~policy ~backoff ~memory_order n in
-      time_run ~domains ~run:(fun k -> Workload.Op.run_packed_array d ops.(k))
+    time_run ~domains ~run:(fun k -> Workload.Op.run_native_array d ops.(k))
   in
   let total = ops_per_domain * domains in
   {
-    layout;
-    policy;
-    memory_order;
-    backoff;
+    layout = plan.layout;
+    policy = plan.compaction;
+    memory_order = plan.memory_order;
+    backoff = plan.backoff;
     dist;
     domains;
     n;
@@ -149,15 +137,10 @@ let run_point ?(config = default_config) ?(memory_order = Order.default)
     failures;
   }
 
-(* One timed run of a {!Dsu.Plan} point: the plan's axes map straight onto
-   [run_point]'s knobs (the linking rule is implied by the layout). *)
-let run_plan_point ?config ?dist ~(plan : Dsu.Plan.t) ~domains () =
-  (match Dsu.Plan.validate plan with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Scalability.run_plan_point: " ^ e));
-  run_point ?config ~memory_order:plan.Dsu.Plan.memory_order
-    ~backoff:plan.Dsu.Plan.backoff ?dist ~layout:plan.Dsu.Plan.layout
-    ~policy:plan.Dsu.Plan.compaction ~domains ()
+let run_point ?config ?(memory_order = Order.default) ?(backoff = true) ?dist
+    ~layout ~policy ~domains () =
+  let plan = Dsu.Plan.of_layout ~compaction:policy ~memory_order ~backoff layout in
+  run_plan_point ?config ?dist ~plan ~domains ()
 
 let sweep ?(config = default_config) ?progress () =
   let emit p = match progress with None -> () | Some f -> f p in

@@ -8,8 +8,9 @@
     - the find policy,
     - the memory layout: [Flat] (the contiguous
       {!Repro_util.Flat_atomic_array} parent array), [Padded] (one parent
-      word per cache line — false-sharing ablation) and [Packed] (the
-      bit-packed linking-by-rank word, via {!Dsu.Packed.Native}),
+      word per cache line — false-sharing ablation) and [Packed] (linking
+      by rank in the same node word, via {!Dsu.Packed.Native}) — one
+      {!Dsu.Native} handle type, built by {!Dsu.Driver.native},
     - the parent-load {!Dsu.Memory_order} mode and the link-CAS backoff
       switch (the memory-order × backoff ablation axis), and
     - the key distribution: [Uniform], or [Skewed] (80% of endpoints drawn
@@ -88,16 +89,16 @@ val run_point :
   domains:int ->
   unit ->
   point
-(** One timed run.  Operation streams are generated outside the timed
-    section; timing covers domain spawn to join.  [memory_order] defaults
-    to {!Dsu.Memory_order.default}, [backoff] to [true], [dist] to
-    [Uniform]. *)
+(** {!run_plan_point} over {!Dsu.Plan.of_layout} of these knobs.
+    [memory_order] defaults to {!Dsu.Memory_order.default}, [backoff] to
+    [true], [dist] to [Uniform]. *)
 
 val run_plan_point :
   ?config:config -> ?dist:dist -> plan:Dsu.Plan.t -> domains:int -> unit -> point
-(** {!run_point} driven by a {!Dsu.Plan} point: compaction, memory order,
-    backoff and layout come from the plan (the linking rule is implied by
-    the layout).  @raise Invalid_argument on an invalid plan. *)
+(** One timed run over {!Dsu.Driver.native}'s handle for the plan.
+    Operation streams are generated outside the timed section; timing
+    covers domain spawn to join.
+    @raise Invalid_argument on an invalid plan. *)
 
 val sweep : ?config:config -> ?progress:(point -> unit) -> unit -> point list
 (** The full cross product (layouts × policies × memory_orders × backoffs

@@ -623,8 +623,11 @@ let to_json config ~points ~drills =
       ( "kind",
         J.String
           (Snapshot.kind_to_string
-             (Option.value config.kind ~default:(Svc.kind_of_plan config.plan)))
-      );
+             (match config.kind with
+             | Some k -> k
+             | None when config.plan.Dsu.Plan.linking = Dsu.Plan.By_rank ->
+               Snapshot.Packed
+             | None -> Snapshot.Flat)) );
       ("durable", J.Bool config.durable);
       ("points", J.List (List.map point_json points));
       ( "knee_rate",

@@ -1,14 +1,13 @@
 (** Rebuild a live structure from a {!Snapshot.t}.
 
-    Dispatches on the snapshot's kind to the layout's validated
-    [of_snapshot] constructor; the uniform {!unite}/{!same_set}/{!find}
-    dispatchers let a resumed workload drive whichever layout came back
-    without caring which it was. *)
+    Two handles come back: the one {!Dsu.Native.t} that both native kinds
+    share ([Flat] restores random-id linking, [Packed] rank linking) and
+    {!Dsu.Growable.t}.  {!restore} and {!create} are the only places a
+    {!Snapshot.kind} picks a constructor; the uniform {!unite}/
+    {!same_set}/{!find} dispatchers let a resumed workload drive whichever
+    handle came back, and {!kind} reads the kind off the handle. *)
 
-type restored =
-  | Flat of Dsu.Native.t
-  | Growable of Dsu.Growable.t
-  | Packed of Dsu.Packed.Native.t
+type restored = Native of Dsu.Native.t | Growable of Dsu.Growable.t
 
 val restore :
   ?policy:Dsu.Find_policy.t ->
@@ -19,8 +18,9 @@ val restore :
   Snapshot.t ->
   restored
 (** [policy] applies to every kind; [early] to Flat and Growable;
-    [padded] to Flat and Packed; [on_link] (all kinds) hooks every successful link CAS — pass
-    {!Repro_durable.Wal.append} to resume logging after recovery.
+    [padded] to Flat and Packed (both {!Native}); [on_link] (all kinds)
+    hooks every successful link CAS — pass {!Repro_durable.Wal.append} to
+    resume logging after recovery.
     @raise Invalid_argument when the snapshot fails the layout's invariant
     validation (run {!Repair.repair} first). *)
 
@@ -34,8 +34,9 @@ val create :
   Snapshot.kind ->
   int ->
   restored
-(** A fresh structure of the given kind over [n] singleton elements — the
-    one constructor the service backend and the chaos drills share.
+(** A fresh structure of the given kind over [n] singleton elements —
+    what a service asked for an explicit kind and the durable chaos drill
+    build (a plan's handle comes from {!Dsu.Driver.native}).
     [seed] draws the random ids (Flat) or priorities (Growable); Packed
     links by rank and ignores it.  Growable makes all [n] elements up
     front: [make_set] is not WAL-logged, so a recovered universe is the
@@ -68,3 +69,4 @@ val count_sets : restored -> int
 (** Quiescent only. *)
 
 val kind : restored -> Snapshot.kind
+(** [Growable], or {!Snapshot.native_kind} of the native handle. *)

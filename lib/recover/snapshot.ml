@@ -26,10 +26,12 @@ let kind_of_string = function
   | "packed" -> Some Packed
   | _ -> None
 
+let native_kind d = if Dsu.Native.by_rank d then Packed else Flat
+
 let of_native d =
   let n = Dsu.Native.n d in
   {
-    kind = Flat;
+    kind = native_kind d;
     n;
     capacity = n;
     epoch = 0;
@@ -45,17 +47,6 @@ let of_growable d =
     epoch = 0;
     parents = Dsu.Growable.parents_snapshot d;
     prios = Dsu.Growable.priorities_snapshot d;
-  }
-
-let of_packed d =
-  let n = Dsu.Packed.Native.n d in
-  {
-    kind = Packed;
-    n;
-    capacity = n;
-    epoch = 0;
-    parents = Dsu.Packed.Native.parents_snapshot d;
-    prios = Dsu.Packed.Native.ranks_snapshot d;
   }
 
 let check t = Repro_fault.Forest_check.check ~prio:(fun i -> t.prios.(i)) t.parents

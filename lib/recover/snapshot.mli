@@ -1,10 +1,11 @@
 (** Versioned, checksummed snapshots of a quiescent DSU memory.
 
-    A snapshot is the raw state any of the layouts can be rebuilt from:
-    the parent array plus the per-node linking order ([prios] — the id
-    permutation for {!Dsu.Native}, the 62-bit random priorities for
-    {!Dsu.Growable}, the ranks for {!Dsu.Packed.Native}, extracted from the
-    packed words).  All the orders
+    A snapshot is the raw state any handle can be rebuilt from: the
+    parent array plus the per-node linking order ([prios] — the id
+    permutation of a random-id {!Dsu.Native} handle (kind [Flat]), the
+    ranks of a rank-linking one (kind [Packed], unpacked from the node
+    words), the 62-bit random priorities of a {!Dsu.Growable}).  This is
+    the repo's one snapshot codec.  All the orders
     share the algorithm's [less]: priority first, node index on ties — so
     one {!check} validates any kind against Lemma 3.1.
 
@@ -60,11 +61,16 @@ val kind_of_string : string -> kind option
 
 (** {1 Capture} — quiescent only; see the layout's [parents_snapshot] doc. *)
 
+val native_kind : Dsu.Native.t -> kind
+(** [Packed] for a handle that links by rank ({!Dsu.Native.by_rank}),
+    [Flat] for one that links by random ids. *)
+
 val of_native : Dsu.Native.t -> t
+(** Of kind {!native_kind}: [prios] holds the id permutation, or the
+    ranks unpacked from the node words (restore re-packs them,
+    {!Dsu.Packed.Native.of_snapshot}). *)
+
 val of_growable : Dsu.Growable.t -> t
-val of_packed : Dsu.Packed.Native.t -> t
-(** [prios] holds the ranks unpacked from the bit fields; restore re-packs
-    them ({!Dsu.Packed.Native.of_snapshot}). *)
 
 (** {1 Validation} *)
 

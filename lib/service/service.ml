@@ -216,9 +216,10 @@ let respond t (r : request) outcome =
 (* ---------------------------------------------------------- application *)
 
 (* Apply a drained batch in FIFO order, fusing maximal consecutive runs of
-   the same constructor through the bulk kernels where the layout has them
-   (flat and packed); other layouts and singleton runs fall back to the
-   uniform per-op dispatchers.  Returns [(request, value)] in FIFO order. *)
+   the same constructor through the bulk kernels where the handle has them
+   (the native one, flat or packed); the growable backend and singleton
+   runs fall back to the uniform per-op dispatchers.  Returns
+   [(request, value)] in FIFO order. *)
 let apply t reqs =
   let out = ref [] in
   let flush_run run =
@@ -230,9 +231,7 @@ let apply t reqs =
       let xs = Array.map (get (fun x _ -> x)) arr in
       let ys = Array.map (get (fun _ y -> y)) arr in
       (match t.backend with
-      | Restore.Flat d when Array.length arr > 1 -> Dsu.Native.unite_batch d xs ys
-      | Restore.Packed d when Array.length arr > 1 ->
-        Dsu.Packed.Native.unite_batch d xs ys
+      | Restore.Native d when Array.length arr > 1 -> Dsu.Native.unite_batch d xs ys
       | b ->
         for i = 0 to Array.length arr - 1 do
           Restore.unite b xs.(i) ys.(i)
@@ -247,10 +246,8 @@ let apply t reqs =
       let ys = Array.map (get (fun _ y -> y)) arr in
       let bs =
         match t.backend with
-        | Restore.Flat d when Array.length arr > 1 ->
+        | Restore.Native d when Array.length arr > 1 ->
           Dsu.Native.same_set_batch d xs ys
-        | Restore.Packed d when Array.length arr > 1 ->
-          Dsu.Packed.Native.same_set_batch d xs ys
         | b -> Array.mapi (fun i x -> Restore.same_set b x ys.(i)) xs
       in
       Array.iteri (fun i r -> out := (r, V_bool bs.(i)) :: !out) arr
@@ -387,27 +384,22 @@ let validate_config cfg =
   if cfg.snapshot_interval <= 0. then
     invalid_arg "Service.create: snapshot_interval must be positive"
 
-let kind_of_plan (plan : Dsu.Plan.t) =
-  match plan.Dsu.Plan.layout with
-  | Dsu.Plan.Flat | Dsu.Plan.Padded -> Rsnap.Flat
-  | Dsu.Plan.Packed -> Rsnap.Packed
-
 let create ?backend ?wal ?on_worker_start ?kind cfg =
   validate_config cfg;
+  let on_link =
+    Option.map (fun w -> fun ~child ~parent -> Wal.append w ~child ~parent) wal
+  in
+  let plan = cfg.plan in
   let backend =
-    match backend with
-    | Some b -> b
-    | None ->
-      let on_link =
-        Option.map (fun w -> fun ~child ~parent -> Wal.append w ~child ~parent) wal
-      in
-      let plan = cfg.plan in
+    match (backend, kind) with
+    | Some b, _ -> b
+    | None, None ->
+      Restore.Native (Dsu.Driver.native ?on_link ~seed:cfg.seed plan cfg.n)
+    | None, Some kind ->
       Restore.create ~policy:plan.Dsu.Plan.compaction
         ~backoff:plan.Dsu.Plan.backoff ~memory_order:plan.Dsu.Plan.memory_order
         ~padded:(plan.Dsu.Plan.layout = Dsu.Plan.Padded)
-        ?on_link ~seed:cfg.seed
-        (Option.value kind ~default:(kind_of_plan plan))
-        cfg.n
+        ?on_link ~seed:cfg.seed kind cfg.n
   in
   (* worst-case responses outstanding per lane: every admitted op of every
      worker (queued + one in-process batch) could route to one lane *)

@@ -101,10 +101,6 @@ val default_config : config
 
 type t
 
-val kind_of_plan : Dsu.Plan.t -> Repro_recover.Snapshot.kind
-(** The kind a plan's layout names: [Flat] for flat and flat-padded,
-    [Packed] for packed — what {!create} builds when given no [kind]. *)
-
 val create :
   ?backend:Repro_recover.Restore.restored ->
   ?wal:Repro_durable.Wal.writer ->
@@ -112,8 +108,10 @@ val create :
   ?kind:Repro_recover.Snapshot.kind ->
   config ->
   t
-(** Build the backend (of [kind], by default {!kind_of_plan} of the
-    config's plan, under that plan; WAL [on_link] attached when [wal] is
+(** Build the backend (by default the plan's handle,
+    {!Dsu.Driver.native}; given a [kind], a fresh
+    {!Repro_recover.Restore.create} of it under the plan's compaction,
+    order, backoff and padding; WAL [on_link] attached when [wal] is
     given), write the initial
     snapshot if configured, and spawn the worker and snapshotter domains.
     [backend] overrides construction — pass a recovered

@@ -111,14 +111,6 @@ let run_native_array_batched d ?(batch = 2048) ops =
       i := !j
   done
 
-let run_packed_array d ops =
-  for i = 0 to Array.length ops - 1 do
-    match Array.unsafe_get ops i with
-    | Unite (x, y) -> Dsu.Packed.Native.unite d x y
-    | Same_set (x, y) -> ignore (Dsu.Packed.Native.same_set d x y)
-    | Find x -> ignore (Dsu.Packed.Native.find d x)
-  done
-
 let run_seq_array d ops =
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with

@@ -30,6 +30,7 @@ val run_quick_find : Sequential.Quick_find.t -> t list -> unit
 (** Convert to an array once and delegate to the array runners below. *)
 
 val run_native_array : Dsu.Native.t -> t array -> unit
+(** Drives any native handle: every plan layout, random ids or ranks. *)
 
 val run_native_array_batched : Dsu.Native.t -> ?batch:int -> t array -> unit
 (** Like {!run_native_array}, but maximal runs of consecutive same-kind
@@ -41,10 +42,6 @@ val run_native_array_batched : Dsu.Native.t -> ?batch:int -> t array -> unit
     setup per tiny flush.  Same per-element semantics as the per-op loop —
     used by the bench bulk suite to measure the batching win.
     @raise Invalid_argument if [batch < 1]. *)
-
-val run_packed_array : Dsu.Packed.Native.t -> t array -> unit
-(** Drives the bit-packed linking-by-rank layout ({!Dsu.Packed.Native})
-    for the plan-space sweeps. *)
 
 val run_seq_array : Sequential.Seq_dsu.t -> t array -> unit
 val run_quick_find_array : Sequential.Quick_find.t -> t array -> unit

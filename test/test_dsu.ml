@@ -200,45 +200,72 @@ let snapshot_tests =
           "sets"
           [ [ 0; 4 ]; [ 1; 2 ]; [ 3 ] ]
           (Native.sets d));
-    case "snapshot/restore preserves the partition" (fun () ->
+    case "of_snapshot preserves the partition" (fun () ->
         let n = 60 in
         let d = Native.create ~seed:31 n in
         let rng = Rng.create 77 in
         Workload.Op.run_native d (Workload.Random_mix.random_pairs ~rng ~n ~m:100);
-        let s = Native.snapshot d in
-        let d' = Native.restore s in
+        let d' =
+          Native.of_snapshot ~parents:(Native.parents_snapshot d)
+            ~ids:(Native.ids_snapshot d) ()
+        in
         check Alcotest.(list (list int)) "partition" (Native.sets d) (Native.sets d');
         (* The restored structure remains fully usable. *)
         Native.unite d' 0 (n - 1);
         check Alcotest.bool "post-restore op" true (Native.same_set d' 0 (n - 1));
         check Alcotest.int "invariants" 0 (List.length (Native.invariant_violations d')));
-    case "snapshot round-trips through a string" (fun () ->
+    case "snapshot round-trips through the binary codec" (fun () ->
+        let module Snap = Repro_recover.Snapshot in
         let n = 20 in
         let d = Native.create ~seed:32 n in
         Native.unite d 3 9;
         Native.unite d 9 15;
-        let text = Native.snapshot_to_string (Native.snapshot d) in
-        let d' = Native.restore (Native.snapshot_of_string text) in
-        check Alcotest.(list (list int)) "partition" (Native.sets d) (Native.sets d'));
-    case "restore validates its input" (fun () ->
+        match Snap.of_binary_string (Snap.to_binary_string (Snap.of_native d)) with
+        | Error e -> Alcotest.fail e
+        | Ok s ->
+          let d' = Native.of_snapshot ~parents:s.Snap.parents ~ids:s.Snap.prios () in
+          check Alcotest.(list (list int)) "partition" (Native.sets d) (Native.sets d'));
+    case "of_snapshot validates its input" (fun () ->
         Alcotest.check_raises "perm"
-          (Invalid_argument "Dsu_native.restore: ids are not a permutation")
+          (Invalid_argument "Dsu_native.of_snapshot: ids are not a permutation")
           (fun () ->
-            ignore
-              (Native.snapshot_of_string "2 0 1 0 0" |> Native.restore));
+            ignore (Native.of_snapshot ~parents:[| 0; 1 |] ~ids:[| 0; 0 |] ()));
         Alcotest.check_raises "order"
-          (Invalid_argument "Dsu_native.restore: parents violate the linking order")
+          (Invalid_argument
+             "Dsu_native.of_snapshot: parents violate the linking order")
           (fun () ->
             (* node 0 (id 1) points at node 1 (id 0): order violated. *)
-            ignore (Native.snapshot_of_string "2 1 1 1 0" |> Native.restore)));
-    case "snapshot_of_string rejects malformed text" (fun () ->
-        Alcotest.check_raises "count"
-          (Invalid_argument "Dsu_native.snapshot_of_string: wrong field count")
-          (fun () -> ignore (Native.snapshot_of_string "3 0 1"));
-        Alcotest.check_raises "header"
-          (Invalid_argument "Dsu_native.snapshot_of_string: bad header")
-          (fun () -> ignore (Native.snapshot_of_string "zork 1 2")));
+            ignore (Native.of_snapshot ~parents:[| 1; 1 |] ~ids:[| 1; 0 |] ())));
   ]
+
+(* A find from the bottom of a chain allocates a constant number of minor
+   words, whatever the depth: the splitting CASes' stats bumps must not
+   allocate when stats are off.  (Compression keeps its path in a list,
+   so its allocation grows with the depth by design.) *)
+let find_alloc_words ~policy depth =
+  let d =
+    Native.of_snapshot ~policy
+      ~parents:(Array.init (depth + 1) (fun i -> min (i + 1) depth))
+      ~ids:(Array.init (depth + 1) Fun.id)
+      ()
+  in
+  let before = Gc.minor_words () in
+  let root = Native.find d 0 in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "root" depth root;
+  words
+
+let alloc_tests =
+  List.map
+    (fun policy ->
+      case
+        (Printf.sprintf "find allocates the same at depth 16 and 1024 (%s)"
+           (Policy.to_string policy))
+        (fun () ->
+          let shallow = find_alloc_words ~policy 16 in
+          let deep = find_alloc_words ~policy 1024 in
+          check (Alcotest.float 0.) "minor words" shallow deep))
+    [ Policy.One_try_splitting; Policy.Two_try_splitting; Policy.Halving ]
 
 let stats_tests =
   [
@@ -792,6 +819,7 @@ let () =
       ("oracle", oracle_tests);
       ("invariants", invariant_tests);
       ("snapshot", snapshot_tests);
+      ("allocation", alloc_tests);
       ("stats", stats_tests);
       ("memory_order", memory_order_tests);
       ("flaky_cas", flaky_tests);

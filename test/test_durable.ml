@@ -95,6 +95,27 @@ let test_group_commit_stats () =
   check Alcotest.bool "chunked into >= 4 commits of <= 16" true
     (s.Wal.ws_commits >= 4)
 
+(* One domain appends through one shard, so however the committer's
+   drains split the stream, the file holds its records in append order. *)
+let test_single_domain_seq_order () =
+  let path = temp_wal () in
+  let w = Wal.create_writer ~flush_records:4 ~flush_interval:10.0 path in
+  for i = 0 to 499 do
+    Wal.append w ~child:i ~parent:(i + 1)
+  done;
+  Wal.close w;
+  let records = (tail_of path).Wal.records in
+  Sys.remove path;
+  check Alcotest.int "all records" 500 (Array.length records);
+  Array.iteri
+    (fun i (r : Wal.record) ->
+      if i > 0 then
+        check Alcotest.bool
+          (Printf.sprintf "seq ascends at record %d" i)
+          true
+          (records.(i - 1).Wal.seq < r.Wal.seq))
+    records
+
 (* ------------------------------------------------------------- shutdown *)
 
 module Fi = Repro_fault.Inject
@@ -443,9 +464,9 @@ let test_fuzzy_packed () =
       let cap =
         run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
           ~unite:(Dsu.Packed.Native.unite d)
-          ~capture:(fun () -> Fuzzy.of_packed d)
+          ~capture:(fun () -> Fuzzy.of_native d)
       in
-      (cap, Snap.of_packed d))
+      (cap, Snap.of_native d))
 
 let test_fuzzy_packed_padded () =
   check_fuzzy_refines ~name:"packed-padded" ~seeds ~strict:false (fun seed ->
@@ -453,9 +474,9 @@ let test_fuzzy_packed_padded () =
       let cap =
         run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
           ~unite:(Dsu.Packed.Native.unite d)
-          ~capture:(fun () -> Fuzzy.of_packed d)
+          ~capture:(fun () -> Fuzzy.of_native d)
       in
-      (cap, Snap.of_packed d))
+      (cap, Snap.of_native d))
 
 (* -------------------------------------------------------- snapshot epoch *)
 
@@ -534,6 +555,7 @@ let () =
           case "record roundtrip" test_record_roundtrip;
           case "writer roundtrip" test_writer_roundtrip;
           case "group commit stats" test_group_commit_stats;
+          case "one domain's records keep seq order" test_single_domain_seq_order;
         ] );
       ( "wal-shutdown",
         [

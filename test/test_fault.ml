@@ -216,7 +216,7 @@ let armed_site_tests =
         check Alcotest.bool "united" true (Dsu.Packed.Native.same_set d 0 1);
         let r =
           Forest_check.check
-            ~prio:(Dsu.Packed.Native.rank_of d)
+            ~prio:(Dsu.Packed.Native.id d)
             (Dsu.Packed.Native.parents_snapshot d)
         in
         check Alcotest.bool "forest ok" true (Forest_check.ok r));

@@ -83,7 +83,7 @@ let native_tests =
         check Alcotest.int "count" 8 (Packed.Native.count_sets d);
         check Alcotest.bool "apart" false (Packed.Native.same_set d 0 1);
         check Alcotest.bool "root" true (Packed.Native.is_root d 5);
-        check Alcotest.int "rank 0" 0 (Packed.Native.rank_of d 0));
+        check Alcotest.int "rank 0" 0 (Packed.Native.id d 0));
     case "unite and transitivity" (fun () ->
         let d = Packed.Native.create 8 in
         Packed.Native.unite d 0 1;
@@ -94,7 +94,7 @@ let native_tests =
         let d = Packed.Native.create 4 in
         Packed.Native.unite d 0 1;
         let root = Packed.Native.find d 0 in
-        check Alcotest.int "winner rank" 1 (Packed.Native.rank_of d root));
+        check Alcotest.int "winner rank" 1 (Packed.Native.id d root));
     case "matches quick-find oracle under every policy" (fun () ->
         List.iter
           (fun policy -> oracle_mix ~policy ~n:64 ~ops:800 ~seed:7)
@@ -108,7 +108,7 @@ let native_tests =
         done;
         for i = 0 to n - 1 do
           check Alcotest.bool (string_of_int i) true
-            (Packed.Native.rank_of d i <= 8)
+            (Packed.Native.id d i <= 8)
         done);
     case "adversarial chain stays logarithmic" (fun () ->
         let n = 1 lsl 10 in
@@ -191,7 +191,7 @@ let native_tests =
           Packed.Native.unite d (Rng.int rng n) (Rng.int rng n)
         done;
         let parents = Packed.Native.parents_snapshot d in
-        let ranks = Packed.Native.ranks_snapshot d in
+        let ranks = Packed.Native.ids_snapshot d in
         let d' = Packed.Native.of_snapshot ~parents ~ranks () in
         for x = 0 to n - 1 do
           check Alcotest.bool (string_of_int x)
@@ -499,7 +499,7 @@ let sim_tests =
           (Packed.Native.parents_snapshot d)
           (Array.map Packed.parent_of_word memory);
         check (Alcotest.array Alcotest.int) "ranks"
-          (Packed.Native.ranks_snapshot d)
+          (Packed.Native.ids_snapshot d)
           (Array.map Packed.rank_of_word memory));
     case "sim rank tie promotes the winner" (fun () ->
         let memory =

@@ -162,7 +162,10 @@ let flat_layout_cases =
           let d, _ = stress ~policy:Policy.Two_try_splitting ~early:false
               ~domains:2 ~n ~per_domain:500 ()
           in
-          let r = Native.restore ~padded:true (Native.snapshot d) in
+          let r =
+            Native.of_snapshot ~padded:true ~parents:(Native.parents_snapshot d)
+              ~ids:(Native.ids_snapshot d) ()
+          in
           check Alcotest.int "count_sets" (Native.count_sets d)
             (Native.count_sets r);
           for x = 0 to 49 do

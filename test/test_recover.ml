@@ -37,7 +37,7 @@ let growable_snap () =
 let packed_snap () =
   let d = Dsu.Packed.Native.create 128 in
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Packed.Native.unite d);
-  Snap.of_packed d
+  Snap.of_native d
 
 let all_layouts =
   [
@@ -200,7 +200,7 @@ let codec_tests =
           let snap = packed_snap () in
           let restored = Restore.restore snap in
           (match restored with
-          | Restore.Packed _ -> ()
+          | Restore.Native d when Dsu.Native.by_rank d -> ()
           | _ -> Alcotest.fail "packed snapshot restored to another kind");
           let oracle = Sequential.Quick_find.create snap.Snap.n in
           Array.iteri (Sequential.Quick_find.unite oracle) snap.Snap.parents;
@@ -231,6 +231,27 @@ let codec_tests =
             check Alcotest.string "kind" layout
               (Snap.kind_to_string (Restore.kind restored))))
       [ ("flat", native_snap); ("packed", packed_snap) ]
+  @ [
+      case "of_native takes its kind from the handle's linking rule"
+        (fun () ->
+          let n = 64 in
+          let rank = Dsu.Packed.Native.create n
+          and ids = Dsu.Native.create ~seed:9 n in
+          rng_ops ~seed:3 ~n ~ops:80 (fun x y ->
+              Dsu.Native.unite rank x y;
+              Dsu.Native.unite ids x y);
+          let s = Snap.of_native rank in
+          check Alcotest.string "rank kind" "packed" (Snap.kind_to_string s.Snap.kind);
+          check Alcotest.(array int) "ranks as prios"
+            (Array.init n (Dsu.Native.id rank))
+            s.Snap.prios;
+          check Alcotest.bool "ranks, not ids: in [0, lg n], some above 0"
+            true
+            (Array.for_all (fun r -> r >= 0 && r <= 6) s.Snap.prios
+            && Array.exists (fun r -> r > 0) s.Snap.prios);
+          check Alcotest.string "random-id kind" "flat"
+            (Snap.kind_to_string (Snap.of_native ids).Snap.kind));
+    ]
 
 (* ------------------------------------------------------ legacy fixtures *)
 

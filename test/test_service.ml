@@ -230,8 +230,10 @@ let test_service_sequential_oracle ?kind ?(plan = Dsu.Plan.default) () =
   in
   let svc = Svc.create ?kind cfg in
   check Alcotest.string "backend kind"
-    (Repro_recover.Snapshot.kind_to_string
-       (Option.value kind ~default:(Svc.kind_of_plan plan)))
+    (match kind with
+    | Some k -> Repro_recover.Snapshot.kind_to_string k
+    | None when plan.Dsu.Plan.linking = Dsu.Plan.By_rank -> "packed"
+    | None -> "flat")
     (Repro_recover.Snapshot.kind_to_string (Svc.kind svc));
   let rng = Rng.create 3 in
   let expected = Hashtbl.create 512 in
